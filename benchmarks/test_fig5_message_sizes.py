@@ -17,7 +17,7 @@ import pytest
 
 from repro.analysis.tables import format_rows
 from repro.workloads.preposted import PrepostedParams, run_preposted
-from repro.workloads.runner import nic_preset
+from repro.workloads.sweep import nic_preset
 
 #: full message-size grid -- excluded from the tier-1 run
 pytestmark = pytest.mark.slow

@@ -20,7 +20,7 @@ from repro.analysis.curves import (
 )
 from repro.analysis.tables import format_curve
 from repro.workloads.preposted import PrepostedParams, run_preposted
-from repro.workloads.runner import nic_preset
+from repro.workloads.sweep import nic_preset
 from repro.workloads.unexpected import UnexpectedParams, run_unexpected
 
 

@@ -19,7 +19,7 @@ from repro.fpga.report import (
 )
 from repro.proc.params import TABLE_III_ROWS
 from repro.workloads.preposted import PrepostedParams, run_preposted
-from repro.workloads.runner import nic_preset
+from repro.workloads.sweep import nic_preset
 from repro.workloads.unexpected import UnexpectedParams, run_unexpected
 
 RULE = "=" * 72

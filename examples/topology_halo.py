@@ -20,7 +20,7 @@ import argparse
 
 from repro.obs.telemetry import Telemetry
 from repro.workloads.halo import HaloParams, run_halo
-from repro.workloads.runner import nic_preset
+from repro.workloads.sweep import nic_preset
 
 
 def link_utilizations(report):

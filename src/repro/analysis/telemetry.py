@@ -1,6 +1,6 @@
 """Load and query the telemetry reports the sweep runner writes.
 
-:func:`repro.workloads.runner.dump_telemetry` serializes sweep rows plus
+:func:`repro.workloads.sweep.dump_telemetry` serializes sweep rows plus
 their per-run metrics snapshots; these helpers read that JSON back and
 pull out the quantities the analysis layer cares about -- a named metric
 across the sweep, or the mean of a sampled histogram (queue depth, ALPU
@@ -12,9 +12,12 @@ histograms to ``{"count", "sum", "min", "max", "mean", "buckets"}``.
 
 Dumps are versioned: v1 predates the ``version`` field and carries no
 health data, v2 rows also hold ``health`` (``{"verdict", "findings"}``)
-from the watchdog battery.  :func:`load_report` upgrades v1 in place so
-the health helpers (:func:`row_verdict`, :func:`healthy_rows`,
-:func:`rows_with_finding`) work on either vintage.
+from the watchdog battery, and v3 rows are the generic sweep ``Row``
+(the point's ``params`` dict plus workload ``columns``).  The helpers
+here read only ``metrics``, ``health`` and ``fabric``, which every
+vintage shares; :func:`load_report` stamps v1 in place so the health
+helpers (:func:`row_verdict`, :func:`healthy_rows`,
+:func:`rows_with_finding`) work on any of them.
 """
 
 from __future__ import annotations
@@ -25,14 +28,14 @@ from typing import Dict, List, Optional
 from repro.obs.health import has_finding
 
 #: the newest dump schema this loader understands
-MAX_DUMP_VERSION = 2
+MAX_DUMP_VERSION = 3
 
 
 def load_report(path: str) -> Dict[str, object]:
-    """Read a report written by :func:`repro.workloads.runner.dump_telemetry`.
+    """Read a report written by :func:`repro.workloads.sweep.dump_telemetry`.
 
-    Accepts v1 (no ``version`` key, no health) and v2 dumps; anything
-    newer is refused rather than misread.
+    Accepts v1 (no ``version`` key, no health), v2 and v3 dumps;
+    anything newer is refused rather than misread.
     """
     with open(path, "r", encoding="utf-8") as fh:
         report = json.load(fh)

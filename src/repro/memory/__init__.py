@@ -9,8 +9,6 @@ subpackage provides:
   write-allocate.
 * :class:`~repro.memory.dram.Dram` -- banked DRAM with open-row (page-mode)
   hit/miss timing.
-* :class:`~repro.memory.sram.Sram` -- fixed-latency scratch memory (the NIC
-  local SRAM).
 * :class:`~repro.memory.system.MemorySystem` -- composes cache levels over
   DRAM and converts an address stream into access latencies in cycles.
 * :mod:`~repro.memory.layout` -- address-layout helpers that place queue
@@ -20,7 +18,6 @@ subpackage provides:
 
 from repro.memory.cache import Cache, CacheConfig, AccessResult
 from repro.memory.dram import Dram, DramConfig
-from repro.memory.sram import Sram
 from repro.memory.system import MemorySystem, MemorySystemConfig
 from repro.memory.layout import AddressAllocator
 
@@ -30,7 +27,6 @@ __all__ = [
     "AccessResult",
     "Dram",
     "DramConfig",
-    "Sram",
     "MemorySystem",
     "MemorySystemConfig",
     "AddressAllocator",

@@ -11,33 +11,37 @@
 * :mod:`repro.workloads.halo` -- many-rank nearest-neighbour halo
   exchange plus a per-iteration allreduce, the workload that exercises
   the routed topologies (ring/mesh2d/torus3d) beyond two ranks.
-* :mod:`repro.workloads.sweep` -- the generic grid-sweep executor:
-  declarative :class:`~repro.workloads.sweep.SweepSpec` grids, optional
-  process fan-out, content-hash result caching, plus the configuration
-  presets (baseline NIC, 128-entry ALPU, 256-entry ALPU).
-* :mod:`repro.workloads.runner` -- the classic ``sweep_preposted`` /
-  ``sweep_unexpected`` helpers, now thin wrappers over the executor.
+* :mod:`repro.workloads.storm`, :mod:`~repro.workloads.alltoall` and
+  :mod:`~repro.workloads.multijob` -- the queue-discipline stressors.
+* :mod:`repro.workloads.result` -- the :class:`Result` base every
+  workload run returns.
+* :mod:`repro.workloads.sweep` -- the workload registry and the generic
+  grid-sweep executor: declarative :class:`~repro.workloads.sweep.SweepSpec`
+  grids shaped into generic :class:`~repro.workloads.sweep.Row` s,
+  optional process fan-out, provenance-keyed result caching, the
+  telemetry dump, plus the configuration presets (baseline NIC, 128-entry
+  ALPU, 256-entry ALPU).
+* :mod:`repro.workloads.smoke` -- the CI smoke checks, one declarative
+  table run with ``python -m repro.workloads.smoke``.
 """
 
 from repro.workloads.halo import HaloParams, HaloResult, run_halo
 from repro.workloads.pingpong import PingPongParams, run_pingpong
 from repro.workloads.preposted import PrepostedParams, PrepostedResult, run_preposted
+from repro.workloads.result import Result
 from repro.workloads.unexpected import (
     UnexpectedParams,
     UnexpectedResult,
     run_unexpected,
 )
 from repro.workloads.sweep import (
+    dump_telemetry,
     nic_preset,
     PRESETS,
+    Row,
     run_sweep,
     SweepCache,
     SweepSpec,
-)
-from repro.workloads.runner import (
-    dump_telemetry,
-    sweep_preposted,
-    sweep_unexpected,
     telemetry_report,
 )
 
@@ -50,16 +54,16 @@ __all__ = [
     "PrepostedParams",
     "PrepostedResult",
     "run_preposted",
+    "Result",
     "UnexpectedParams",
     "UnexpectedResult",
     "run_unexpected",
     "dump_telemetry",
     "nic_preset",
     "PRESETS",
+    "Row",
     "run_sweep",
     "SweepCache",
     "SweepSpec",
-    "sweep_preposted",
-    "sweep_unexpected",
     "telemetry_report",
 ]

@@ -13,18 +13,13 @@ round's full fan-in.
 Degrees of freedom: world size, per-rank out-degree, and rounds --
 ``num_ranks * degree * rounds`` messages total, which reaches 10^6 with
 e.g. 64 ranks x 16 peers x 1000 rounds.
-
-Smoke::
-
-    PYTHONPATH=src python -m repro.workloads.alltoall --smoke
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
-import statistics
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.mpi.world import MpiWorld, WorldConfig
 from repro.network.fabric import FabricConfig
@@ -32,6 +27,7 @@ from repro.network.faults import FaultConfig
 from repro.nic.nic import NicConfig
 from repro.sim.process import now
 from repro.sim.units import ps_to_ns
+from repro.workloads.result import Result
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,22 +67,10 @@ class AlltoallParams:
 
 
 @dataclasses.dataclass
-class AlltoallResult:
-    """Per-round completion times, as seen from rank 0."""
+class AlltoallResult(Result):
+    """Rank 0's per-round wall time (sends fired to all receives done)."""
 
-    params: AlltoallParams
-    #: rank 0's per-round wall time (sends fired to all receives done)
-    round_ns: List[float]
     total_messages: int
-    metrics: Optional[Dict[str, object]] = None
-
-    @property
-    def mean_ns(self) -> float:
-        return statistics.fmean(self.round_ns)
-
-    @property
-    def median_ns(self) -> float:
-        return statistics.median(self.round_ns)
 
 
 def run_alltoall(
@@ -152,42 +136,7 @@ def run_alltoall(
     results = world.run(programs, deadline_us=deadline_us)
     return AlltoallResult(
         params=params,
-        round_ns=results[0],
+        latencies_ns=results[0],
         total_messages=params.total_messages,
         metrics=telemetry.snapshot() if telemetry is not None else None,
     )
-
-
-def _smoke() -> None:
-    """Sharded and fifo disciplines must agree on the exchanged rounds."""
-    import dataclasses as dc
-
-    from repro.nic.qdisc import QdiscConfig
-
-    params = AlltoallParams(num_ranks=8, degree=3, rounds=6)
-    base = NicConfig.baseline()
-    fifo = run_alltoall(base, params)
-    sharded = run_alltoall(
-        dc.replace(
-            base, qdisc=QdiscConfig(discipline="sharded", shard_key="flow")
-        ),
-        params,
-    )
-    assert len(fifo.round_ns) == params.rounds
-    assert len(sharded.round_ns) == params.rounds
-    # same matches in both (a sharded search returns the same oldest
-    # entry), so simulated times differ only through visit counts
-    print(
-        f"alltoall smoke OK: {params.total_messages} msgs, "
-        f"fifo median round {fifo.median_ns:.0f} ns, "
-        f"sharded median round {sharded.median_ns:.0f} ns"
-    )
-
-
-if __name__ == "__main__":
-    import sys
-
-    if "--smoke" in sys.argv[1:]:
-        _smoke()
-    else:
-        print(__doc__)

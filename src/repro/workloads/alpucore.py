@@ -30,8 +30,7 @@ before/after table in EXPERIMENTS.md is anchored here.
 from __future__ import annotations
 
 import dataclasses
-import statistics
-from typing import List, Optional
+from typing import List
 
 from repro.core.alpu import AlpuConfig
 from repro.core.cell import CellKind
@@ -48,6 +47,7 @@ from repro.nic.alpu_device import AlpuDevice
 from repro.sim.engine import Engine
 from repro.sim.process import Process, delay
 from repro.sim.units import ps_to_ns
+from repro.workloads.result import Result
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,18 +76,11 @@ class AlpuCoreParams:
 
 
 @dataclasses.dataclass
-class AlpuCoreResult:
-    """Samples for one core-stress point."""
+class AlpuCoreResult(Result):
+    """Simulated duration of each timed fill+drain round."""
 
-    params: AlpuCoreParams
-    #: simulated duration of each timed fill+drain round
-    latencies_ns: List[float]
     #: core operations performed over the timed rounds (inserts + headers)
     ops: int
-
-    @property
-    def median_ns(self) -> float:
-        return statistics.median(self.latencies_ns)
 
 
 def run_alpucore(

@@ -134,10 +134,7 @@ def run_grid() -> List[Dict[str, object]]:
     """Run every grid point with the self-profiler on; returns records."""
     from repro.obs.telemetry import Telemetry
     from repro.workloads.alpucore import AlpuCoreParams, run_alpucore
-    from repro.workloads.halo import HaloParams, run_halo
-    from repro.workloads.preposted import PrepostedParams, run_preposted
-    from repro.workloads.sweep import nic_preset
-    from repro.workloads.unexpected import UnexpectedParams, run_unexpected
+    from repro.workloads.sweep import BENCHMARKS, nic_preset
 
     records = []
     for benchmark, preset, params in GRID:
@@ -146,17 +143,10 @@ def run_grid() -> List[Dict[str, object]]:
             # drives one AlpuDevice directly -- no NIC preset involved;
             # the preset column is purely the geometry label
             result = run_alpucore(AlpuCoreParams(**params), telemetry=bundle)
-        elif benchmark == "preposted":
-            result = run_preposted(
-                nic_preset(preset), PrepostedParams(**params), telemetry=bundle
-            )
-        elif benchmark == "halo":
-            result = run_halo(
-                nic_preset(preset), HaloParams(**params), telemetry=bundle
-            )
         else:
-            result = run_unexpected(
-                nic_preset(preset), UnexpectedParams(**params), telemetry=bundle
+            workload = BENCHMARKS[benchmark]
+            result = workload.run(
+                nic_preset(preset), workload.params_cls(**params), telemetry=bundle
             )
         profile = bundle.profiler.snapshot(top=5)
         records.append(

@@ -18,17 +18,12 @@ Per-iteration wall time is sampled at rank 0 (the global simulated clock
 needs no round-trip halving), and the allreduce doubles as a whole-world
 correctness check: every iteration reduces ``rank + 1`` and every rank
 must see ``P * (P + 1) / 2``.
-
-Smoke (the CI multi-rank step)::
-
-    PYTHONPATH=src python -m repro.workloads.halo --smoke
 """
 
 from __future__ import annotations
 
 import dataclasses
-import statistics
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.mpi.world import MpiWorld, WorldConfig
 from repro.network.fabric import FabricConfig
@@ -37,6 +32,7 @@ from repro.network.topology import TOPOLOGY_PRESETS, TopologyConfig, balanced_di
 from repro.nic.nic import NicConfig
 from repro.sim.process import now
 from repro.sim.units import ps_to_ns
+from repro.workloads.result import Result
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,12 +76,9 @@ class HaloParams:
 
 
 @dataclasses.dataclass
-class HaloResult:
-    """Samples for one parameter point."""
+class HaloResult(Result):
+    """Per-iteration wall time at rank 0, timed iterations only."""
 
-    params: HaloParams
-    #: per-iteration wall time at rank 0, timed iterations only
-    latencies_ns: List[float]
     #: the physical topology actually built (``describe()`` string)
     topology: str
     #: the allreduce result every rank agreed on (P*(P+1)/2)
@@ -93,16 +86,6 @@ class HaloResult:
     #: total link-level retransmissions across all NICs (0 without the
     #: reliability layer; > 0 proves recovery did the work under faults)
     retransmits: int = 0
-    #: metrics snapshot when the run carried a telemetry bundle
-    metrics: Optional[Dict[str, object]] = None
-
-    @property
-    def mean_ns(self) -> float:
-        return statistics.fmean(self.latencies_ns)
-
-    @property
-    def median_ns(self) -> float:
-        return statistics.median(self.latencies_ns)
 
 
 def _neighbors(rank: int, dims) -> List[int]:
@@ -257,168 +240,3 @@ def run_halo(
         ),
         metrics=telemetry.snapshot() if telemetry is not None else None,
     )
-
-
-# ----------------------------------------------------------------- smoke
-def _smoke() -> None:
-    """The CI multi-rank step: 16-rank torus3d halo + allreduce.
-
-    Covers: clean verdicts on the fault-free run, retransmission-based
-    recovery under injected faults, and a zero-fault control alongside.
-    """
-    from repro.obs.telemetry import Telemetry
-    from repro.workloads.sweep import nic_preset
-
-    params = HaloParams(ranks=16, topology="torus3d", iterations=2, warmup=1)
-    bundle = Telemetry(tracing=False, timeline=True, health=True)
-    clean = run_halo(nic_preset("alpu128"), params, telemetry=bundle)
-    verdict = bundle.health_verdict()
-    assert verdict == "healthy", f"clean run verdict {verdict!r}"
-    assert clean.allreduce_value == 136
-
-    faults = FaultConfig(seed=7, drop_rate=0.01)
-    nic = nic_preset("alpu128")
-    nic = dataclasses.replace(
-        nic,
-        reliability=dataclasses.replace(nic.reliability, enabled=True),
-    )
-    faulty = run_halo(nic, params, faults=faults)
-    assert faulty.retransmits > 0, "fault run saw no retransmissions"
-    # control: the same reliability-enabled NIC with no faults completes
-    # with zero recoveries and the same collective result
-    control = run_halo(nic, params)
-    assert control.retransmits == 0, control.retransmits
-    assert control.allreduce_value == clean.allreduce_value
-    print(
-        f"halo smoke OK: 16-rank torus3d, verdict {verdict}, "
-        f"clean median {clean.median_ns:.1f} ns, "
-        f"faulty median {faulty.median_ns:.1f} ns "
-        f"({faulty.retransmits} retransmits), "
-        f"control median {control.median_ns:.1f} ns (0 retransmits)"
-    )
-
-
-def _congestion_smoke(artifact_dir: str = "congestion-artifacts") -> None:
-    """The CI fabric-observability step: incast contention on a torus.
-
-    Covers, in one run each:
-
-    * the zero-perturbation gate -- the pinned torus3d halo point with
-      the *full* observability stack on must stay bit-identical to
-      ``BENCH_baseline.json`` (captured with everything off);
-    * the telescoping decomposition -- every wire traversal's per-hop
-      budget sums exactly to its span (asserted inside
-      :func:`~repro.analysis.attribution.wire_segments`);
-    * congestion attribution -- the injected incast must trip the
-      ``hotspot_link`` watchdog and the heatmap report must name the
-      hottest channel;
-    * the artifacts -- the JSON report, the HTML heatmap page, and the
-      fabric CLI tables land in ``artifact_dir`` for CI upload.
-    """
-    import html as html_mod
-    import json
-    import os
-    from pathlib import Path
-
-    from repro.analysis.attribution import link_budgets, wire_segments
-    from repro.analysis.fabric import format_fabric
-    from repro.analysis.report import render_html, render_text
-    from repro.obs.health import has_finding
-    from repro.obs.telemetry import Telemetry
-    from repro.workloads.sweep import nic_preset
-
-    os.makedirs(artifact_dir, exist_ok=True)
-    pinned_params = HaloParams(
-        ranks=16, topology="torus3d", message_size=512, iterations=3, warmup=1
-    )
-
-    # 1. zero-perturbation gate against the pinned grid
-    baseline_path = Path(__file__).resolve().parents[3] / "BENCH_baseline.json"
-    with open(baseline_path, "r", encoding="utf-8") as handle:
-        grid = json.load(handle)["grid"]
-    pinned = next(
-        row
-        for row in grid
-        if row["id"] == "halo/alpu128/message_size=512_ranks=16_topology=torus3d"
-    )
-    bundle = Telemetry(
-        tracing=False, timeline=True, health=True, lifecycle=True, fabric=True
-    )
-    observed = run_halo(nic_preset("alpu128"), pinned_params, telemetry=bundle)
-    assert observed.latencies_ns == pinned["latencies_ns"], (
-        "fabric observability perturbed the pinned point: "
-        f"{observed.latencies_ns} != {pinned['latencies_ns']}"
-    )
-
-    # 2. telescoping: every wire traversal decomposes exactly
-    segments = 0
-    for lifecycle in bundle.lifecycle.lifecycles:
-        if lifecycle.complete:
-            segments += len(wire_segments(lifecycle))
-    assert segments > 0, "no wire segments recorded with fabric obs on"
-
-    # 3. the incast scenario must produce an attributed hotspot
-    hot_params = dataclasses.replace(
-        pinned_params, hotspot_rank=0, hotspot_size=4096
-    )
-    hot = Telemetry(
-        tracing=False, timeline=True, health=True, lifecycle=True, fabric=True
-    )
-    run_halo(nic_preset("alpu128"), hot_params, telemetry=hot)
-    findings = [f.to_obj() for f in hot.health_findings()]
-    assert has_finding(findings, "hotspot_link"), findings
-    assert has_finding(findings, "link_contention"), findings
-
-    # 4. artifacts: JSON report, HTML heatmap, fabric CLI tables
-    report = hot.write_report(
-        os.path.join(artifact_dir, "congestion.report.json"),
-        benchmark="halo",
-        scenario="incast",
-        ranks=hot_params.ranks,
-        topology=hot_params.topology,
-        hotspot_rank=hot_params.hotspot_rank,
-    )
-    text = render_text(report)
-    assert "hottest link" in text, "heatmap report names no hotspot"
-    html = render_html(report)
-    hottest = max(report["fabric"]["links"], key=lambda l: l["utilization"])
-    assert html_mod.escape(hottest["name"]) in html, (
-        "HTML heatmap misses the hotspot link"
-    )
-    with open(
-        os.path.join(artifact_dir, "congestion.report.html"),
-        "w",
-        encoding="utf-8",
-    ) as handle:
-        handle.write(html)
-        handle.write("\n")
-    tables = format_fabric(
-        report["fabric"],
-        budgets=link_budgets(hot.lifecycle.lifecycles),
-        title="congestion smoke: halo incast on torus3d",
-    )
-    with open(
-        os.path.join(artifact_dir, "congestion.tables.txt"),
-        "w",
-        encoding="utf-8",
-    ) as handle:
-        handle.write(tables)
-        handle.write("\n")
-    print(tables)
-    print(
-        f"congestion smoke OK: pinned point bit-identical with full obs on, "
-        f"{segments} wire segments telescoped, hotspot {hottest['name']} at "
-        f"{hottest['utilization']:.1%} utilization "
-        f"({len(findings)} finding(s)); artifacts in {artifact_dir}/"
-    )
-
-
-if __name__ == "__main__":
-    import sys
-
-    if "--congestion-smoke" in sys.argv[1:]:
-        _congestion_smoke()
-    elif "--smoke" in sys.argv[1:]:
-        _smoke()
-    else:
-        print(__doc__)

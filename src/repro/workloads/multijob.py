@@ -16,16 +16,11 @@ but FIFO traversal does not care).  The qdisc layer is the defence:
 ``host_priority`` services job A's postings ahead of job B's arrivals.
 The result quantifies the isolation: ping-pong latency with and without
 the hog, per discipline.
-
-Smoke::
-
-    PYTHONPATH=src python -m repro.workloads.multijob --smoke
 """
 
 from __future__ import annotations
 
 import dataclasses
-import statistics
 from typing import Dict, List, Optional
 
 from repro.mpi.world import MpiWorld, WorldConfig
@@ -34,6 +29,7 @@ from repro.network.faults import FaultConfig
 from repro.nic.nic import NicConfig
 from repro.sim.process import delay, now
 from repro.sim.units import ns, ps_to_ns
+from repro.workloads.result import Result
 
 #: job A's ping/pong tags; job B floods on a disjoint tag
 _PING_TAG = 1
@@ -66,25 +62,16 @@ class MultijobParams:
 
 
 @dataclasses.dataclass
-class MultijobResult:
-    """Job A's latencies plus job B's queue damage."""
+class MultijobResult(Result):
+    """Job A's round-trip latencies (post-warmup) plus job B's queue damage."""
 
-    params: MultijobParams
-    #: job A round-trip latencies (post-warmup)
-    latencies_ns: List[float]
     #: node-0 NIC unexpected-queue high-water mark (job B's backlog)
     max_unexpected_depth: int
     #: admission refusals at node 0 (0 without admission control)
     refused: int
-    metrics: Optional[Dict[str, object]] = None
 
-    @property
-    def mean_ns(self) -> float:
-        return statistics.fmean(self.latencies_ns)
-
-    @property
-    def median_ns(self) -> float:
-        return statistics.median(self.latencies_ns)
+    def columns(self) -> Dict[str, object]:
+        return {"max_depth": self.max_unexpected_depth, "refused": self.refused}
 
 
 def run_multijob(
@@ -174,48 +161,3 @@ def run_multijob(
         refused=node0.admission.refused if node0.admission is not None else 0,
         metrics=telemetry.snapshot() if telemetry is not None else None,
     )
-
-
-def _smoke() -> None:
-    """The qdisc layer must actually isolate job A from job B."""
-    import dataclasses as dc
-
-    from repro.nic.qdisc import QdiscConfig
-    from repro.nic.reliability import ReliabilityConfig
-
-    params = MultijobParams()
-    base = NicConfig.baseline()
-    exposed = run_multijob(base, params)
-    shielded = run_multijob(
-        dc.replace(
-            base,
-            qdisc=QdiscConfig(
-                discipline="sharded",
-                max_unexpected=32,
-                admission_policy="nack",
-                host_priority=True,
-            ),
-            reliability=ReliabilityConfig(enabled=True),
-        ),
-        params,
-    )
-    assert exposed.max_unexpected_depth > shielded.max_unexpected_depth
-    assert shielded.median_ns < exposed.median_ns, (
-        f"qdisc did not shield job A: {shielded.median_ns:.0f} ns vs "
-        f"{exposed.median_ns:.0f} ns exposed"
-    )
-    print(
-        f"multijob smoke OK: ping-pong median {exposed.median_ns:.0f} ns "
-        f"exposed (depth {exposed.max_unexpected_depth}) -> "
-        f"{shielded.median_ns:.0f} ns shielded "
-        f"(depth {shielded.max_unexpected_depth}, {shielded.refused} refused)"
-    )
-
-
-if __name__ == "__main__":
-    import sys
-
-    if "--smoke" in sys.argv[1:]:
-        _smoke()
-    else:
-        print(__doc__)

@@ -8,13 +8,13 @@ paper says hash-table schemes regress (Section II).
 from __future__ import annotations
 
 import dataclasses
-import statistics
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.mpi.world import MpiWorld, WorldConfig
 from repro.nic.nic import NicConfig
 from repro.sim.process import now
 from repro.sim.units import ps_to_ns
+from repro.workloads.result import Result
 
 
 @dataclasses.dataclass(frozen=True)
@@ -27,17 +27,8 @@ class PingPongParams:
 
 
 @dataclasses.dataclass
-class PingPongResult:
+class PingPongResult(Result):
     """Half-round-trip latencies, in nanoseconds."""
-
-    latencies_ns: List[float]
-    #: metrics snapshot when the run carried a telemetry bundle
-    metrics: Optional[Dict[str, object]] = None
-
-    @property
-    def mean_ns(self) -> float:
-        """Mean half-round-trip latency."""
-        return statistics.fmean(self.latencies_ns)
 
     @property
     def min_ns(self) -> float:
@@ -83,6 +74,7 @@ def run_pingpong(
     world = MpiWorld(WorldConfig(num_ranks=2, nic=nic), telemetry=telemetry)
     results = world.run({0: rank0, 1: rank1})
     return PingPongResult(
+        params=params,
         latencies_ns=results[0],
         metrics=telemetry.snapshot() if telemetry is not None else None,
     )

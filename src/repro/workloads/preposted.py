@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import statistics
 from typing import Dict, List, Optional
 
 from repro.mpi.world import MpiWorld, WorldConfig
@@ -41,6 +40,7 @@ from repro.network.faults import FaultConfig
 from repro.nic.nic import NicConfig
 from repro.sim.process import now
 from repro.sim.units import ps_to_ns
+from repro.workloads.result import Result
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,23 +68,11 @@ class PrepostedParams:
 
 
 @dataclasses.dataclass
-class PrepostedResult:
+class PrepostedResult(Result):
     """Samples for one parameter point."""
 
-    params: PrepostedParams
-    latencies_ns: List[float]
     #: receiver-NIC software entries traversed over the timed iterations
     entries_traversed: int
-    #: metrics snapshot when the run carried a telemetry bundle
-    metrics: Optional[Dict[str, object]] = None
-
-    @property
-    def mean_ns(self) -> float:
-        return statistics.fmean(self.latencies_ns)
-
-    @property
-    def median_ns(self) -> float:
-        return statistics.median(self.latencies_ns)
 
 
 def run_preposted(

@@ -23,16 +23,11 @@ The measured sample is the *receive sojourn*: posting-to-completion time
 of the master's wildcard receives (every ``sample_every``-th), which
 includes the unexpected-queue search exactly like the Section V-A
 benchmark includes posting time.
-
-Smoke-run a scaled-down storm under sharded + admission::
-
-    PYTHONPATH=src python -m repro.workloads.storm --smoke
 """
 
 from __future__ import annotations
 
 import dataclasses
-import statistics
 from collections import deque
 from typing import Dict, List, Optional
 
@@ -43,6 +38,7 @@ from repro.network.faults import FaultConfig
 from repro.nic.nic import NicConfig
 from repro.sim.process import delay, now
 from repro.sim.units import ns, ps_to_ns
+from repro.workloads.result import Result
 
 #: the one service tag every worker sends on
 _STORM_TAG = 7
@@ -117,12 +113,9 @@ class StormParams:
 
 
 @dataclasses.dataclass
-class StormResult:
-    """Samples and tallies for one storm point."""
+class StormResult(Result):
+    """Sampled posting-to-completion sojourns of the master's receives."""
 
-    params: StormParams
-    #: sampled posting-to-completion sojourns of the master's receives
-    latencies_ns: List[float]
     total_messages: int
     #: simulated span of the service loop (first post to last completion)
     duration_ns: float
@@ -132,20 +125,18 @@ class StormResult:
     refused: int
     #: retransmissions across all NICs (0 without the reliability layer)
     retransmits: int
-    metrics: Optional[Dict[str, object]] = None
-
-    @property
-    def mean_ns(self) -> float:
-        return statistics.fmean(self.latencies_ns)
-
-    @property
-    def median_ns(self) -> float:
-        return statistics.median(self.latencies_ns)
 
     @property
     def messages_per_us(self) -> float:
         """Simulated service throughput of the master."""
         return self.total_messages / (self.duration_ns / 1_000.0)
+
+    def columns(self) -> Dict[str, object]:
+        return {
+            "max_depth": self.max_unexpected_depth,
+            "refused": self.refused,
+            "retransmits": self.retransmits,
+        }
 
 
 def run_storm(
@@ -257,59 +248,3 @@ def run_storm(
         ),
         metrics=telemetry.snapshot() if telemetry is not None else None,
     )
-
-
-def _smoke() -> None:
-    """A scaled-down storm under sharded + admission (the CI tier-1 step).
-
-    Asserts the three tentpole behaviours end to end: the run completes,
-    the unexpected queue stays bounded at the admission threshold, and
-    the ``unexpected_admission_pressure`` watchdog fires.
-    """
-    import dataclasses as dc
-
-    from repro.nic.qdisc import QdiscConfig
-    from repro.nic.reliability import ReliabilityConfig
-    from repro.obs.health import has_finding
-    from repro.obs.telemetry import Telemetry
-
-    params = StormParams(
-        workers=4, messages_per_worker=200, window=8, service_ns=400.0
-    )
-    threshold = 32
-    nic = dc.replace(
-        NicConfig.baseline(),
-        qdisc=QdiscConfig(
-            discipline="sharded",
-            max_unexpected=threshold,
-            admission_policy="nack",
-            host_priority=True,
-        ),
-        reliability=ReliabilityConfig(enabled=True),
-    )
-    telemetry = Telemetry(tracing=False, timeline=True, health=True)
-    result = run_storm(nic, params, telemetry=telemetry)
-    assert result.total_messages == params.total_messages
-    # the reorder buffer shares the occupancy budget, so the queue itself
-    # may only overshoot by what was already in flight inside one window
-    assert result.max_unexpected_depth <= 2 * threshold, (
-        result.max_unexpected_depth
-    )
-    assert result.refused > 0, "flood never hit the admission threshold"
-    findings = telemetry.health_findings()
-    assert has_finding(findings, "unexpected_admission_pressure"), findings
-    print(
-        f"storm smoke OK: {result.total_messages} msgs in "
-        f"{result.duration_ns / 1000:.1f} us, median sojourn "
-        f"{result.median_ns:.0f} ns, max depth {result.max_unexpected_depth}, "
-        f"{result.refused} refused (admission watchdog fired)"
-    )
-
-
-if __name__ == "__main__":
-    import sys
-
-    if "--smoke" in sys.argv[1:]:
-        _smoke()
-    else:
-        print(__doc__)

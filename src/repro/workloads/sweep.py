@@ -1,34 +1,36 @@
-"""Declarative grid sweeps over the Figure 5/6 benchmarks.
+"""Declarative grid sweeps over the workload registry.
 
+:data:`BENCHMARKS` maps each workload name to its params class and run
+function (every run returns a :class:`~repro.workloads.result.Result`).
 One :class:`SweepSpec` names a benchmark, the receiver presets, and the
 parameter axes; :func:`run_sweep` expands the grid (preset-major, then
-axis-major -- the exact nesting order of the old hand-written loops) and
-runs every point, either serially or fanned out across worker processes.
+axis-major) and runs every point, either serially or fanned out across
+worker processes, shaping each into one generic :class:`Row`.
 
-Every point is one self-contained 2-rank simulation, so points are
+Every point is one self-contained simulation, so points are
 embarrassingly parallel *and* deterministic: the same spec produces
 bit-identical rows whether ``workers`` is ``None`` or 8 (pinned by
-test).  A :class:`SweepCache` keyed on a content hash of the point's
-full configuration short-circuits repeats without re-simulating.
+test).  A :class:`SweepCache` keyed on the resolved configuration and
+a fingerprint of the simulator source short-circuits repeats without
+re-simulating.
 
 The three receiver presets of the paper's comparison live here too
 (:data:`PRESETS` / :func:`nic_preset`): the baseline NIC (embedded
 processor only, Red Storm-like), and the same NIC with 128- or
-256-entry ALPUs.
-
-Run one Figure-5 point through both execution modes as a smoke test::
-
-    PYTHONPATH=src python -m repro.workloads.sweep --smoke
+256-entry ALPUs.  :func:`dump_telemetry` writes a sweep's rows as the
+JSON report :mod:`repro.analysis.telemetry` loads.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
 import multiprocessing
 import os
+import pathlib
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.attribution import attribute_run
@@ -41,6 +43,7 @@ from repro.workloads.alltoall import AlltoallParams, run_alltoall
 from repro.workloads.halo import HaloParams, run_halo
 from repro.workloads.multijob import MultijobParams, run_multijob
 from repro.workloads.preposted import PrepostedParams, run_preposted
+from repro.workloads.result import Result
 from repro.workloads.storm import StormParams, run_storm
 from repro.workloads.unexpected import UnexpectedParams, run_unexpected
 
@@ -68,195 +71,51 @@ def nic_preset(name: str, *, block_size: int = 16) -> NicConfig:
     )
 
 
-@dataclasses.dataclass
-class PrepostedRow:
-    """One point of a Figure 5 surface."""
+@dataclasses.dataclass(frozen=True)
+class Workload:
+    """One registry entry: the params class and the run function.
 
+    ``run(nic, params, *, telemetry, faults, topology)`` returns a
+    :class:`~repro.workloads.result.Result` subclass.
+    """
+
+    params_cls: type
+    run: Callable[..., Result]
+
+
+BENCHMARKS: Dict[str, Workload] = {
+    "preposted": Workload(PrepostedParams, run_preposted),
+    "unexpected": Workload(UnexpectedParams, run_unexpected),
+    "halo": Workload(HaloParams, run_halo),
+    "storm": Workload(StormParams, run_storm),
+    "alltoall": Workload(AlltoallParams, run_alltoall),
+    "multijob": Workload(MultijobParams, run_multijob),
+}
+
+
+@dataclasses.dataclass
+class Row:
+    """One sweep point: what ran, its median latency, and its extras."""
+
+    benchmark: str
     preset: str
-    queue_length: int
-    traverse_fraction: float
-    message_size: int
+    #: the point's full params kwargs (``params_cls(**params)`` rebuilds it)
+    params: Dict[str, object]
+    #: the run's ``median_ns``
     latency_ns: float
+    #: the run's :meth:`~repro.workloads.result.Result.columns`
+    columns: Dict[str, object]
     #: per-run metrics snapshot (sweeps with ``telemetry=True`` only)
     metrics: Optional[Dict[str, object]] = None
     #: per-stage latency attribution (sweeps with ``lifecycle=True`` only)
     attribution: Optional[Dict[str, object]] = None
     #: watchdog verdict+findings (``telemetry=True`` sweeps only):
     #: ``{"verdict": str, "findings": [HealthFinding.to_obj(), ...]}``
-    health: Optional[Dict[str, object]] = None
-    #: fabric snapshot (sweeps with ``fabric=True`` only)
-    fabric: Optional[Dict[str, object]] = None
-
-
-@dataclasses.dataclass
-class UnexpectedRow:
-    """One point of a Figure 6 curve."""
-
-    preset: str
-    queue_length: int
-    message_size: int
-    latency_ns: float
-    #: per-run metrics snapshot (sweeps with ``telemetry=True`` only)
-    metrics: Optional[Dict[str, object]] = None
-    #: per-stage latency attribution (sweeps with ``lifecycle=True`` only)
-    attribution: Optional[Dict[str, object]] = None
-    #: watchdog verdict+findings (``telemetry=True`` sweeps only):
-    #: ``{"verdict": str, "findings": [HealthFinding.to_obj(), ...]}``
-    health: Optional[Dict[str, object]] = None
-    #: fabric snapshot (sweeps with ``fabric=True`` only)
-    fabric: Optional[Dict[str, object]] = None
-
-
-@dataclasses.dataclass
-class HaloRow:
-    """One point of a topology-comparison surface."""
-
-    preset: str
-    ranks: int
-    topology: str
-    message_size: int
-    latency_ns: float
-    #: per-run metrics snapshot (sweeps with ``telemetry=True`` only)
-    metrics: Optional[Dict[str, object]] = None
-    #: per-stage latency attribution (sweeps with ``lifecycle=True`` only)
-    attribution: Optional[Dict[str, object]] = None
-    #: watchdog verdict+findings (``telemetry=True`` sweeps only)
     health: Optional[Dict[str, object]] = None
     #: fabric snapshot (sweeps with ``fabric=True`` only): per-link
     #: traffic/contention tallies plus the route table, the input of
     #: ``python -m repro.analysis.fabric --row N``
     fabric: Optional[Dict[str, object]] = None
-
-
-@dataclasses.dataclass
-class StormRow:
-    """One point of a wildcard-storm surface."""
-
-    preset: str
-    workers: int
-    messages_per_worker: int
-    window: int
-    service_ns: float
-    #: median receive-sojourn of the master's wildcard receives
-    latency_ns: float
-    #: master-NIC unexpected-queue high-water mark
-    max_depth: int = 0
-    #: admission refusals at the master NIC
-    refused: int = 0
-    retransmits: int = 0
-    #: per-run metrics snapshot (sweeps with ``telemetry=True`` only)
-    metrics: Optional[Dict[str, object]] = None
-    #: per-stage latency attribution (sweeps with ``lifecycle=True`` only)
-    attribution: Optional[Dict[str, object]] = None
-    #: watchdog verdict+findings (``telemetry=True`` sweeps only)
-    health: Optional[Dict[str, object]] = None
-    #: fabric snapshot (sweeps with ``fabric=True`` only)
-    fabric: Optional[Dict[str, object]] = None
-
-
-@dataclasses.dataclass
-class AlltoallRow:
-    """One point of a sparse all-to-all surface."""
-
-    preset: str
-    num_ranks: int
-    degree: int
-    rounds: int
-    #: rank 0's median per-round completion time
-    latency_ns: float
-    #: per-run metrics snapshot (sweeps with ``telemetry=True`` only)
-    metrics: Optional[Dict[str, object]] = None
-    #: per-stage latency attribution (sweeps with ``lifecycle=True`` only)
-    attribution: Optional[Dict[str, object]] = None
-    #: watchdog verdict+findings (``telemetry=True`` sweeps only)
-    health: Optional[Dict[str, object]] = None
-    #: fabric snapshot (sweeps with ``fabric=True`` only)
-    fabric: Optional[Dict[str, object]] = None
-
-
-@dataclasses.dataclass
-class MultijobRow:
-    """One point of a NIC-sharing surface."""
-
-    preset: str
-    hog_messages: int
-    hog_service_ns: float
-    #: job A's median ping-pong round trip beside the hog
-    latency_ns: float
-    #: node-0 NIC unexpected-queue high-water mark (job B's backlog)
-    max_depth: int = 0
-    #: admission refusals at node 0
-    refused: int = 0
-    #: per-run metrics snapshot (sweeps with ``telemetry=True`` only)
-    metrics: Optional[Dict[str, object]] = None
-    #: per-stage latency attribution (sweeps with ``lifecycle=True`` only)
-    attribution: Optional[Dict[str, object]] = None
-    #: watchdog verdict+findings (``telemetry=True`` sweeps only)
-    health: Optional[Dict[str, object]] = None
-    #: fabric snapshot (sweeps with ``fabric=True`` only)
-    fabric: Optional[Dict[str, object]] = None
-
-
-@dataclasses.dataclass(frozen=True)
-class _Benchmark:
-    """How one benchmark plugs into the generic executor."""
-
-    params_cls: type
-    row_cls: type
-    runner: Callable
-    #: parameter names copied onto the row next to ``preset``/``latency_ns``
-    row_fields: Tuple[str, ...]
-    #: optional extractor of extra row fields from the runner's result
-    row_extra: Optional[Callable] = None
-
-
-BENCHMARKS: Dict[str, _Benchmark] = {
-    "preposted": _Benchmark(
-        params_cls=PrepostedParams,
-        row_cls=PrepostedRow,
-        runner=run_preposted,
-        row_fields=("queue_length", "traverse_fraction", "message_size"),
-    ),
-    "unexpected": _Benchmark(
-        params_cls=UnexpectedParams,
-        row_cls=UnexpectedRow,
-        runner=run_unexpected,
-        row_fields=("queue_length", "message_size"),
-    ),
-    "halo": _Benchmark(
-        params_cls=HaloParams,
-        row_cls=HaloRow,
-        runner=run_halo,
-        row_fields=("ranks", "topology", "message_size"),
-    ),
-    "storm": _Benchmark(
-        params_cls=StormParams,
-        row_cls=StormRow,
-        runner=run_storm,
-        row_fields=("workers", "messages_per_worker", "window", "service_ns"),
-        row_extra=lambda result: {
-            "max_depth": result.max_unexpected_depth,
-            "refused": result.refused,
-            "retransmits": result.retransmits,
-        },
-    ),
-    "alltoall": _Benchmark(
-        params_cls=AlltoallParams,
-        row_cls=AlltoallRow,
-        runner=run_alltoall,
-        row_fields=("num_ranks", "degree", "rounds"),
-    ),
-    "multijob": _Benchmark(
-        params_cls=MultijobParams,
-        row_cls=MultijobRow,
-        runner=run_multijob,
-        row_fields=("hog_messages", "hog_service_ns"),
-        row_extra=lambda result: {
-            "max_depth": result.max_unexpected_depth,
-            "refused": result.refused,
-        },
-    ),
-}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -400,91 +259,6 @@ class SweepSpec:
             faults=faults,
         )
 
-    @staticmethod
-    def storm(
-        presets: Sequence[str],
-        workers: Iterable[int],
-        *,
-        messages_per_worker: int = 200,
-        window: int = 16,
-        service_ns: float = 400.0,
-        telemetry: bool = False,
-        lifecycle: bool = False,
-        qdisc: Optional[QdiscConfig] = None,
-    ) -> "SweepSpec":
-        """The wildcard-storm grid: preset x worker count."""
-        return SweepSpec(
-            benchmark="storm",
-            presets=tuple(presets),
-            axes=(("workers", tuple(workers)),),
-            fixed=(
-                ("messages_per_worker", messages_per_worker),
-                ("window", window),
-                ("service_ns", service_ns),
-            ),
-            telemetry=telemetry,
-            lifecycle=lifecycle,
-            qdisc=qdisc,
-        )
-
-    @staticmethod
-    def alltoall(
-        presets: Sequence[str],
-        num_ranks: Iterable[int],
-        degrees: Iterable[int],
-        *,
-        rounds: int = 10,
-        message_size: int = 0,
-        seed: int = 1,
-        telemetry: bool = False,
-        lifecycle: bool = False,
-        qdisc: Optional[QdiscConfig] = None,
-    ) -> "SweepSpec":
-        """The sparse all-to-all grid: preset x world size x degree."""
-        return SweepSpec(
-            benchmark="alltoall",
-            presets=tuple(presets),
-            axes=(
-                ("num_ranks", tuple(num_ranks)),
-                ("degree", tuple(degrees)),
-            ),
-            fixed=(
-                ("rounds", rounds),
-                ("message_size", message_size),
-                ("seed", seed),
-            ),
-            telemetry=telemetry,
-            lifecycle=lifecycle,
-            qdisc=qdisc,
-        )
-
-    @staticmethod
-    def multijob(
-        presets: Sequence[str],
-        hog_messages: Iterable[int],
-        *,
-        hog_service_ns: float = 400.0,
-        iterations: int = 50,
-        warmup: int = 5,
-        telemetry: bool = False,
-        lifecycle: bool = False,
-        qdisc: Optional[QdiscConfig] = None,
-    ) -> "SweepSpec":
-        """The NIC-sharing grid: preset x hog intensity."""
-        return SweepSpec(
-            benchmark="multijob",
-            presets=tuple(presets),
-            axes=(("hog_messages", tuple(hog_messages)),),
-            fixed=(
-                ("hog_service_ns", hog_service_ns),
-                ("iterations", iterations),
-                ("warmup", warmup),
-            ),
-            telemetry=telemetry,
-            lifecycle=lifecycle,
-            qdisc=qdisc,
-        )
-
     # --------------------------------------------------------------- points
     def points(self) -> List[Tuple[str, Dict[str, object]]]:
         """Expand the grid into ``(preset, params kwargs)`` pairs.
@@ -503,22 +277,47 @@ class SweepSpec:
         return points
 
 
-#: bump when row semantics change, so stale cache files never resurface
-#: (2: rows gained the ``attribution`` field; 3: keys gained ``faults``;
-#: 4: rows gained the ``health`` field, telemetry runs grew timelines;
-#: 5: keys gained ``topology``, the halo benchmark landed; 6: rows and
-#: keys gained ``fabric``, fabric-observability sweeps landed; 7: keys
-#: gained ``qdisc``, the storm/alltoall/multijob benchmarks landed)
-CACHE_VERSION = 7
+def resolve_nic(spec: SweepSpec, nic: NicConfig) -> NicConfig:
+    """The NIC a point of ``spec`` actually runs on.
+
+    Applies the spec's queue-discipline overlay and, for a lossy wire or
+    admission control, turns on the link-level retransmission layer.
+    Done per point, not on the shared preset NIC, so serial/parallel and
+    fault/no-fault sweeps never leak state into each other; one replace,
+    because ``NicConfig`` validates the qdisc/reliability combination at
+    construction.
+    """
+    overrides: Dict[str, object] = {}
+    if spec.qdisc is not None:
+        overrides["qdisc"] = spec.qdisc
+    needs_reliability = spec.faults is not None or (
+        spec.qdisc is not None and spec.qdisc.max_unexpected > 0
+    )
+    if needs_reliability and not nic.reliability.enabled:
+        overrides["reliability"] = ReliabilityConfig(enabled=True)
+    return dataclasses.replace(nic, **overrides) if overrides else nic
+
+
+@functools.lru_cache(maxsize=None)
+def source_fingerprint() -> str:
+    """sha256 over every ``repro`` source file, path and contents."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 class SweepCache:
     """Content-addressed memo of sweep rows.
 
-    Keys are sha256 hashes over the complete configuration of one point
-    (cache version, benchmark, preset, block size, telemetry flag, and
-    every parameter) so any change re-runs the simulation.  Backing
-    store is in-memory, optionally mirrored to a JSON file: pass
+    Keys are sha256 hashes over what produced a point: the resolved
+    :class:`NicConfig`, the spec's observability, fault and topology
+    settings, the params, and the :func:`source_fingerprint`, so a
+    changed configuration or a changed simulator re-runs the point.
+    Backing store is in-memory, optionally mirrored to a JSON file: pass
     ``path`` to load it at construction and have :func:`run_sweep`
     persist after each sweep.
     """
@@ -539,11 +338,11 @@ class SweepCache:
     @staticmethod
     def key(spec: SweepSpec, preset: str, params: Dict[str, object]) -> str:
         """The content hash of one grid point."""
+        nic = resolve_nic(spec, nic_preset(preset, block_size=spec.block_size))
         payload = {
-            "version": CACHE_VERSION,
             "benchmark": spec.benchmark,
             "preset": preset,
-            "block_size": spec.block_size,
+            "nic": dataclasses.asdict(nic),
             "telemetry": spec.telemetry,
             "lifecycle": spec.lifecycle,
             "fabric": spec.fabric,
@@ -551,41 +350,47 @@ class SweepCache:
                 dataclasses.asdict(spec.faults) if spec.faults is not None else None
             ),
             "topology": spec.topology,
-            "qdisc": (
-                dataclasses.asdict(spec.qdisc) if spec.qdisc is not None else None
-            ),
-            "params": {name: params[name] for name in sorted(params)},
+            "params": params,
+            "source": source_fingerprint(),
         }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        # enum-valued ALPU settings serialize by name
+        canonical = json.dumps(
+            payload, sort_keys=True, separators=(",", ":"), default=str
+        )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def get(self, key: str, row_cls: type):
-        """The cached row for ``key``, rebuilt, or None."""
-        stored = self._rows.get(key)
-        if stored is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return row_cls(**stored)
+    def get(self, key: str) -> Optional[Row]:
+        """The cached row for ``key``, rebuilt, or None.
 
-    def put(self, key: str, row) -> None:
+        An entry that no longer builds a :class:`Row` (a file written by
+        an older row shape) counts as a miss and is re-simulated.
+        """
+        stored = self._rows.get(key)
+        try:
+            row = Row(**stored) if stored is not None else None
+        except TypeError:
+            row = None
+        if row is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return row
+
+    def put(self, key: str, row: Row) -> None:
         self._rows[key] = dataclasses.asdict(row)
 
     def save(self) -> None:
-        """Mirror the store to ``path`` (no-op when in-memory only)."""
+        """Mirror the store to ``path`` atomically (no-op when in-memory)."""
         if self.path is None:
             return
         parent = os.path.dirname(self.path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        with open(self.path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"version": CACHE_VERSION, "rows": self._rows},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
+        tmp = f"{self.path}.{os.getpid()}.tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump({"rows": self._rows}, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        os.replace(tmp, self.path)
 
 
 def run_point(
@@ -594,26 +399,11 @@ def run_point(
     params: Dict[str, object],
     *,
     nic: Optional[NicConfig] = None,
-):
-    """Run one grid point and shape the result into its row."""
-    bench = BENCHMARKS[spec.benchmark]
+) -> Row:
+    """Run one grid point through the registry and shape its row."""
+    workload = BENCHMARKS[spec.benchmark]
     if nic is None:
         nic = nic_preset(preset, block_size=spec.block_size)
-    overrides: Dict[str, object] = {}
-    if spec.qdisc is not None:
-        overrides["qdisc"] = spec.qdisc
-    needs_reliability = spec.faults is not None or (
-        spec.qdisc is not None and spec.qdisc.max_unexpected > 0
-    )
-    if needs_reliability and not nic.reliability.enabled:
-        # lossy wire or admission control: turn on the link-level
-        # retransmission layer (done here, not on the shared preset NIC,
-        # so serial/parallel and fault/no-fault sweeps never leak state
-        # into each other); one replace, because NicConfig validates the
-        # qdisc/reliability combination at construction
-        overrides["reliability"] = ReliabilityConfig(enabled=True)
-    if overrides:
-        nic = dataclasses.replace(nic, **overrides)
     bundle = (
         # telemetry sweeps also carry the windowed timeline and the
         # default watchdog battery, so every row gets a health verdict
@@ -627,39 +417,35 @@ def run_point(
         if (spec.telemetry or spec.lifecycle or spec.fabric)
         else None
     )
-    result = bench.runner(
-        nic,
-        bench.params_cls(**params),
+    result = workload.run(
+        resolve_nic(spec, nic),
+        workload.params_cls(**params),
         telemetry=bundle,
         faults=spec.faults,
         topology=spec.topology,
     )
-    attribution = None
-    if spec.lifecycle:
-        attribution = attribute_run(bundle.lifecycles())
     health = None
     if spec.telemetry:
         health = {
             "verdict": bundle.health_verdict(),
             "findings": [f.to_obj() for f in bundle.health_findings()],
         }
-    fields = {name: params[name] for name in bench.row_fields}
-    if bench.row_extra is not None:
-        fields.update(bench.row_extra(result))
-    return bench.row_cls(
+    return Row(
+        benchmark=spec.benchmark,
         preset=preset,
+        params=dict(params),
         latency_ns=result.median_ns,
+        columns=result.columns(),
         # a lifecycle-only bundle still snapshots metrics; keep rows
         # comparable by attaching them only when telemetry was asked for
         metrics=result.metrics if spec.telemetry else None,
-        attribution=attribution,
+        attribution=attribute_run(bundle.lifecycles()) if spec.lifecycle else None,
         health=health,
         fabric=bundle.fabric_snapshot() if spec.fabric else None,
-        **fields,
     )
 
 
-def _pool_entry(job: Tuple[SweepSpec, str, Dict[str, object]]):
+def _pool_entry(job: Tuple[SweepSpec, str, Dict[str, object]]) -> Row:
     """Module-level worker so both fork and spawn start methods pickle it."""
     spec, preset, params = job
     return run_point(spec, preset, params)
@@ -678,7 +464,7 @@ def run_sweep(
     *,
     workers: Optional[int] = None,
     cache: Optional[SweepCache] = None,
-) -> List:
+) -> List[Row]:
     """Run every point of the grid; rows come back in grid order.
 
     ``workers``: None/0/1 runs in-process (building each preset's NIC
@@ -691,75 +477,67 @@ def run_sweep(
     cache is saved before returning.
     """
     points = spec.points()
-    bench = BENCHMARKS[spec.benchmark]
-    rows: List = [None] * len(points)
+    rows: List[Optional[Row]] = [None] * len(points)
 
-    pending: List[Tuple[int, str, Dict[str, object]]] = []
+    pending: List[Tuple[int, str, Dict[str, object], Optional[str]]] = []
     for index, (preset, params) in enumerate(points):
+        key = None
         if cache is not None:
-            row = cache.get(SweepCache.key(spec, preset, params), bench.row_cls)
-            if row is not None:
-                rows[index] = row
+            key = SweepCache.key(spec, preset, params)
+            rows[index] = cache.get(key)
+            if rows[index] is not None:
                 continue
-        pending.append((index, preset, params))
+        pending.append((index, preset, params, key))
 
     if pending and workers is not None and workers >= 2:
-        jobs = [(spec, preset, params) for _, preset, params in pending]
+        jobs = [(spec, preset, params) for _, preset, params, _ in pending]
         with _pool_context().Pool(processes=workers) as pool:
             fresh = pool.map(_pool_entry, jobs)
-        for (index, _, _), row in zip(pending, fresh):
+        for (index, _, _, _), row in zip(pending, fresh):
             rows[index] = row
     elif pending:
         # serial path: one NicConfig per preset, shared across its points
         nics: Dict[str, NicConfig] = {}
-        for index, preset, params in pending:
+        for index, preset, params, _ in pending:
             if preset not in nics:
                 nics[preset] = nic_preset(preset, block_size=spec.block_size)
             rows[index] = run_point(spec, preset, params, nic=nics[preset])
 
     if cache is not None:
-        for index, preset, params in pending:
-            cache.put(SweepCache.key(spec, preset, params), rows[index])
+        for index, _, _, key in pending:
+            cache.put(key, rows[index])
         cache.save()
     return rows
 
 
-def _smoke() -> None:
-    """One Figure-5 point through serial, parallel, and cached execution."""
-    spec = SweepSpec.preposted(
-        ("alpu128",), (8,), (1.0,), iterations=4, warmup=1
-    )
-    serial = run_sweep(spec)
-    parallel = run_sweep(spec, workers=2)
-    assert serial == parallel, (serial, parallel)
-    cache = SweepCache()
-    first = run_sweep(spec, cache=cache)
-    again = run_sweep(spec, cache=cache)
-    assert first == serial and again == serial, (first, again)
-    assert cache.hits == 1 and cache.misses == 1, (cache.hits, cache.misses)
-    row = serial[0]
-    print(
-        f"sweep smoke OK: preposted {row.preset} q={row.queue_length} "
-        f"f={row.traverse_fraction} -> {row.latency_ns:.1f} ns "
-        "(serial == parallel == cached)"
-    )
-    halo_spec = SweepSpec.halo(
-        ("alpu128",), (8,), ("crossbar", "torus3d"), iterations=2, warmup=1
-    )
-    halo_serial = run_sweep(halo_spec)
-    halo_parallel = run_sweep(halo_spec, workers=2)
-    assert halo_serial == halo_parallel, (halo_serial, halo_parallel)
-    for row in halo_serial:
-        print(
-            f"sweep smoke OK: halo {row.preset} ranks={row.ranks} "
-            f"{row.topology} -> {row.latency_ns:.1f} ns (serial == parallel)"
-        )
+#: schema version of the sweep telemetry dump; v3 rows are the generic
+#: :class:`Row` (``params`` dict plus ``columns``)
+TELEMETRY_DUMP_VERSION = 3
 
 
-if __name__ == "__main__":
-    import sys
+def telemetry_report(rows: Iterable[Row], **meta: object) -> Dict[str, object]:
+    """Bundle sweep rows (with their metrics snapshots) into one report.
 
-    if "--smoke" in sys.argv[1:]:
-        _smoke()
-    else:
-        print(__doc__)
+    The shape matches what :mod:`repro.analysis.telemetry` loads back:
+    ``{"version": 3, "meta": {...}, "rows": [{<row fields>,
+    "metrics": {...}, "health": {...}}, ...]}``.
+    """
+    return {
+        "version": TELEMETRY_DUMP_VERSION,
+        "meta": dict(meta),
+        "rows": [dataclasses.asdict(row) for row in rows],
+    }
+
+
+def dump_telemetry(rows: Iterable[Row], path: str, **meta: object) -> None:
+    """Write the sweep's telemetry report as JSON.
+
+    Parent directories are created as needed, so nested report paths
+    like ``results/2026-08/fig5.json`` work without preparation.
+    """
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(telemetry_report(rows, **meta), fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -32,8 +32,7 @@ Figure 6.
 from __future__ import annotations
 
 import dataclasses
-import statistics
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.mpi.world import MpiWorld, WorldConfig
 from repro.network.fabric import FabricConfig
@@ -41,6 +40,7 @@ from repro.network.faults import FaultConfig
 from repro.nic.nic import NicConfig
 from repro.sim.process import now
 from repro.sim.units import ps_to_ns
+from repro.workloads.result import Result
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,22 +60,10 @@ class UnexpectedParams:
 
 
 @dataclasses.dataclass
-class UnexpectedResult:
+class UnexpectedResult(Result):
     """Samples for one parameter point."""
 
-    params: UnexpectedParams
-    latencies_ns: List[float]
     entries_traversed: int
-    #: metrics snapshot when the run carried a telemetry bundle
-    metrics: Optional[Dict[str, object]] = None
-
-    @property
-    def mean_ns(self) -> float:
-        return statistics.fmean(self.latencies_ns)
-
-    @property
-    def median_ns(self) -> float:
-        return statistics.median(self.latencies_ns)
 
 
 #: tag bases; fillers, pings and control tags never collide

@@ -23,7 +23,7 @@ from repro.analysis.telemetry import (
 from repro.obs import Telemetry
 from repro.workloads.pingpong import PingPongParams, run_pingpong
 from repro.workloads.preposted import PrepostedParams, run_preposted
-from repro.workloads.runner import dump_telemetry, nic_preset, sweep_preposted
+from repro.workloads.sweep import SweepSpec, dump_telemetry, nic_preset, run_sweep
 from repro.workloads.unexpected import UnexpectedParams, run_unexpected
 
 FAST = dict(iterations=4, warmup=1)
@@ -98,8 +98,10 @@ class TestTraceCoverage:
 class TestSweepIntegration:
     @pytest.fixture(scope="class")
     def rows(self):
-        return sweep_preposted(
-            ["alpu256"], [16], [1.0], iterations=4, warmup=1, telemetry=True
+        return run_sweep(
+            SweepSpec.preposted(
+                ["alpu256"], [16], [1.0], iterations=4, warmup=1, telemetry=True
+            )
         )
 
     def test_figure5_row_reports_alpu_and_queue_metrics(self, rows):
@@ -111,7 +113,9 @@ class TestSweepIntegration:
         assert snapshot["fabric/packets"] > 0
 
     def test_telemetry_off_rows_have_no_metrics(self):
-        rows = sweep_preposted(["baseline"], [4], [1.0], iterations=2, warmup=1)
+        rows = run_sweep(
+            SweepSpec.preposted(["baseline"], [4], [1.0], iterations=2, warmup=1)
+        )
         assert rows[0].metrics is None
 
     def test_report_round_trip_and_analysis_helpers(self, rows, tmp_path):

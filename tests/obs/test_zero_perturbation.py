@@ -13,7 +13,7 @@ import pytest
 
 from repro.obs import Telemetry
 from repro.workloads.preposted import PrepostedParams, run_preposted
-from repro.workloads.runner import nic_preset
+from repro.workloads.sweep import nic_preset
 from repro.workloads.unexpected import UnexpectedParams, run_unexpected
 
 FAST = dict(iterations=4, warmup=1)

@@ -41,8 +41,8 @@ def test_rounds_complete_under_fifo_and_sharded():
         ),
         FAST,
     )
-    assert len(fifo.round_ns) == FAST.rounds
-    assert len(sharded.round_ns) == FAST.rounds
+    assert len(fifo.latencies_ns) == FAST.rounds
+    assert len(sharded.latencies_ns) == FAST.rounds
     assert fifo.total_messages == sharded.total_messages == 6 * 2 * 6
     # same traffic, same fabric: the disciplines only reorder searches,
     # so the round times stay within interleaving noise of each other

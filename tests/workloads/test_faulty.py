@@ -6,8 +6,8 @@ from repro.obs.health import has_finding, verdict_of
 from repro.workloads.faulty import (
     LOSS_RATES,
     STORM_LOSS_RATE,
-    _retransmits,
     faulty_spec,
+    total_retransmits,
 )
 from repro.workloads.sweep import SweepCache, SweepSpec, run_sweep
 
@@ -23,7 +23,7 @@ def test_tiny_faulty_sweep_completes_with_retransmits():
     rows = run_sweep(spec)
     assert len(rows) == 1
     assert rows[0].latency_ns > 0
-    assert _retransmits(rows) > 0
+    assert total_retransmits(rows) > 0
 
 
 def test_zero_loss_faulty_sweep_sees_no_retransmits():
@@ -32,7 +32,7 @@ def test_zero_loss_faulty_sweep_sees_no_retransmits():
     )
     rows = run_sweep(spec)
     assert rows[0].latency_ns > 0
-    assert _retransmits(rows) == 0
+    assert total_retransmits(rows) == 0
 
 
 def test_cache_key_distinguishes_fault_configurations():

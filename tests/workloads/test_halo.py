@@ -9,7 +9,7 @@ from repro.nic.reliability import ReliabilityConfig
 from repro.obs.telemetry import Telemetry
 from repro.workloads.halo import HaloParams, run_halo
 from repro.workloads.sweep import (
-    HaloRow,
+    Row,
     SweepCache,
     SweepSpec,
     nic_preset,
@@ -83,9 +83,9 @@ def test_16_rank_sweep_serial_vs_parallel_bit_identical():
     serial = run_sweep(spec, cache=cache)
     fanned = run_sweep(spec, workers=2)
     assert serial == fanned
-    assert all(isinstance(row, HaloRow) for row in serial)
-    assert [row.topology for row in serial] == ["crossbar", "torus3d"]
-    # cache round trip (CACHE_VERSION 5 keys)
+    assert all(isinstance(row, Row) for row in serial)
+    assert [row.params["topology"] for row in serial] == ["crossbar", "torus3d"]
+    # cache round trip
     again = run_sweep(spec, cache=cache)
     assert again == serial
     assert cache.hits == len(serial)
