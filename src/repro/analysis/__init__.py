@@ -15,7 +15,7 @@ and software/ALPU search crossover.  It is also a CLI
 (``python -m repro.analysis.attribution``).
 
 :mod:`repro.analysis.report` folds one run's whole telemetry artifact
-(metrics, timeline, health findings, lifecycles, self-profile) into
+(metrics, timeline, health findings, lifecycles, fabric) into
 text/JSON/HTML renderings -- the unified run report
 (``python -m repro.analysis.report``).
 """

@@ -2,12 +2,12 @@
 
 :meth:`repro.obs.telemetry.Telemetry.report` captures everything one run
 observed -- metadata, metrics, the windowed timeline, health findings,
-raw lifecycles, simulator self-profile -- as a single versioned JSON
+raw lifecycles, the fabric snapshot -- as a single versioned JSON
 document.  This module folds that artifact into human-facing renderings:
 
 * **text** -- a terminal report: verdict and findings up top, per-series
   timeline sparklines, latency attribution (when lifecycles rode along),
-  simulator hotspots;
+  queue high-water marks;
 * **json** -- the artifact enriched with the folded attribution, for
   downstream tooling;
 * **html** -- a self-contained page (inline CSS/SVG, no external assets)
@@ -74,7 +74,6 @@ def load_report(path: str) -> Dict[str, object]:
     document.setdefault("timeline", None)
     document.setdefault("health", {"verdict": "healthy", "findings": []})
     document.setdefault("lifecycles", None)
-    document.setdefault("profile", None)
     document.setdefault("fabric", None)
     return document
 
@@ -479,19 +478,6 @@ def render_text(document: Dict[str, object]) -> str:
     if attribution:
         lines.append("")
         lines.append(format_report(attribution, title="latency attribution"))
-    profile = document.get("profile")
-    if profile:
-        lines.append("")
-        lines.append(
-            f"simulator: {profile['events']} events in "
-            f"{profile['handler_seconds']:g} s handler time "
-            f"({profile['events_per_sec']:g} events/sec)"
-        )
-        for label, entry in profile.get("top_handlers", {}).items():
-            lines.append(
-                f"  {label:<40} {entry['events']:>8} events "
-                f"{entry['seconds']:>10.6f} s"
-            )
     marks = queue_high_water(document)
     if marks:
         lines.append("")
@@ -644,28 +630,6 @@ def render_html(document: Dict[str, object]) -> str:
             )
         parts.append("</tbody></table>")
 
-    profile = document.get("profile")
-    if profile:
-        parts.append("<h2>Simulator self-profile</h2>")
-        parts.append(
-            f"<p>{profile['events']} events in "
-            f"{profile['handler_seconds']:g} s of handler time "
-            f"({profile['events_per_sec']:g} events/sec).</p>"
-        )
-        top = profile.get("top_handlers", {})
-        if top:
-            parts.append(
-                "<table><thead><tr><th>handler</th><th>events</th>"
-                "<th>seconds</th></tr></thead><tbody>"
-            )
-            for label, entry in top.items():
-                parts.append(
-                    f"<tr><td class='mono'>{esc(label)}</td>"
-                    f"<td>{entry['events']}</td>"
-                    f"<td>{entry['seconds']:.6f}</td></tr>"
-                )
-            parts.append("</tbody></table>")
-
     marks = queue_high_water(document)
     if marks:
         parts.append(f"<h2>Queue high-water marks ({len(marks)})</h2>")
@@ -733,9 +697,7 @@ def _run_benchmark(args) -> Dict[str, object]:
         nic = NicConfig.baseline()
     else:
         nic = NicConfig.with_backend(args.backend)
-    telemetry = Telemetry(
-        tracing=False, lifecycle=True, timeline=True, health=True, profile=True
-    )
+    telemetry = Telemetry(tracing=False, lifecycle=True, timeline=True, health=True)
     meta: Dict[str, object] = {
         "benchmark": args.benchmark,
         "backend": args.backend,

@@ -128,7 +128,6 @@ class MpiWorld:
                 tracer=telemetry.tracer,
                 metrics=telemetry.metrics,
                 lifecycle=getattr(telemetry, "lifecycle", None),
-                profiler=getattr(telemetry, "profiler", None),
             )
         else:
             self.engine = Engine()

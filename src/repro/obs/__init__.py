@@ -17,9 +17,6 @@ that makes those quantities visible:
   MPI message carries an ordered list of ``(time_ps, stage, detail)``
   transition marks from post to completion, folded into stage-residency
   budgets by :mod:`repro.analysis.attribution`;
-* :mod:`repro.obs.selfprof` -- wall-clock self-profiling of the
-  simulator (events/sec, per-handler time) for the committed benchmark
-  baseline;
 * :mod:`repro.obs.timeline` -- windowed timeseries over simulated time
   with bounded memory (ring + downsampling): the *trajectory* of every
   probed quantity, not just its end-of-run total;
@@ -34,7 +31,9 @@ simulated time, so latencies are bit-identical either way (pinned by
 ``tests/obs/test_zero_perturbation.py``).
 
 This package depends on nothing else in :mod:`repro` (the sim engine
-imports *it*), so any layer may use it without cycles.
+imports *it*), so any layer may use it without cycles.  It reads no
+host clock: the simulator's own host time is measured from outside, by
+``perfbench/``.
 """
 
 from repro.obs.chrome import chrome_trace_events, to_chrome, write_chrome_trace
@@ -69,7 +68,6 @@ from repro.obs.metrics import (
     NULL_REGISTRY,
 )
 from repro.obs.probe import DEFAULT_INTERVAL_PS, SamplingProbe
-from repro.obs.selfprof import SimProfiler
 from repro.obs.telemetry import REPORT_VERSION, Telemetry
 from repro.obs.timeline import Series, Timeline
 from repro.obs.tracer import NullTracer, NULL_TRACER, Tracer, TraceRecord
@@ -96,7 +94,6 @@ __all__ = [
     "NullLifecycleRecorder",
     "NULL_LIFECYCLE",
     "TERMINAL_STAGE",
-    "SimProfiler",
     "Counter",
     "Gauge",
     "Histogram",

@@ -30,7 +30,6 @@ from repro.obs.health import HealthFinding, HealthMonitor
 from repro.obs.lifecycle import LifecycleRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import DEFAULT_INTERVAL_PS
-from repro.obs.selfprof import SimProfiler
 from repro.obs.timeline import Timeline
 from repro.obs.tracer import Tracer
 
@@ -50,7 +49,6 @@ class Telemetry:
         tracing: bool = True,
         probe_interval_ps: Optional[int] = DEFAULT_INTERVAL_PS,
         lifecycle: bool = False,
-        profile: bool = False,
         timeline: bool = False,
         health: bool = False,
         fabric: bool = False,
@@ -61,8 +59,6 @@ class Telemetry:
         self.probe_interval_ps = probe_interval_ps
         #: per-message flight recorder (opt-in; see repro.obs.lifecycle)
         self.lifecycle = LifecycleRecorder() if lifecycle else None
-        #: wall-clock simulator self-profiler (opt-in)
-        self.profiler = SimProfiler() if profile else None
         #: windowed timeseries the sampling probe feeds (opt-in)
         self.timeline = Timeline() if timeline else None
         #: health watchdog battery evaluated at end of run (opt-in);
@@ -158,7 +154,7 @@ class Telemetry:
 
         Always carries ``version``, ``meta``, ``metrics``, ``health``
         (findings + verdict; empty/healthy when the monitor is off).
-        ``timeline``, ``lifecycles``, ``profile`` and ``fabric`` appear
+        ``timeline``, ``lifecycles`` and ``fabric`` appear
         when their collectors are enabled, else ``None`` -- the renderer
         in :mod:`repro.analysis.report` folds whatever is present.
         """
@@ -178,9 +174,6 @@ class Telemetry:
                 self.lifecycle.to_obj()["lifecycles"]
                 if self.lifecycle is not None
                 else None
-            ),
-            "profile": (
-                self.profiler.snapshot() if self.profiler is not None else None
             ),
         }
 

@@ -46,7 +46,6 @@ from typing import Any, Callable, Optional
 
 from repro.obs.lifecycle import NULL_LIFECYCLE
 from repro.obs.metrics import NULL_REGISTRY
-from repro.obs.selfprof import perf_counter
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.event import EventHandle
 
@@ -72,10 +71,6 @@ class Engine:
         NIC firmware and network mark per-message stage transitions
         into.  Defaults to the shared no-op recorder
         (``engine.lifecycle.enabled`` is False).
-    profiler:
-        A :class:`repro.obs.selfprof.SimProfiler`; when set, ``step``
-        times every event handler with the wall clock.  Never touches
-        simulated state.
     """
 
     def __init__(
@@ -84,7 +79,6 @@ class Engine:
         tracer=None,
         metrics=None,
         lifecycle=None,
-        profiler=None,
     ) -> None:
         #: future / non-default-priority events, heap-ordered by key
         self._heap: list[list] = []
@@ -100,7 +94,6 @@ class Engine:
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.lifecycle = lifecycle if lifecycle is not None else NULL_LIFECYCLE
-        self.profiler = profiler
         self.tracer.attach_clock(lambda: self._now)
         self.lifecycle.attach_clock(lambda: self._now)
 
@@ -243,14 +236,7 @@ class Engine:
         self._fired += 1
         entry[4] = 2
         self._live -= 1
-        action = entry[3]
-        profiler = self.profiler
-        if profiler is None:
-            action()
-        else:
-            start = perf_counter()
-            action()
-            profiler.record(action, perf_counter() - start)
+        entry[3]()
         return True
 
     def run(

@@ -165,10 +165,8 @@ class Process:
         self._wait_event: Optional[EventHandle] = None
         self._wait_signal: Optional[Signal] = None
         # cached bound methods: one resume pair per process, not one
-        # allocation per event (and the profiler attributes resumes to
-        # Process._resume/_resume_ok instead of the scheduling site);
-        # likewise one pulse/timeout callback pair instead of a fresh
-        # closure pair per wait
+        # allocation per event; likewise one pulse/timeout callback pair
+        # instead of a fresh closure pair per wait
         self._resume_none = self._resume
         self._resume_true = self._resume_ok
         self._on_pulse_ref = self._on_pulse

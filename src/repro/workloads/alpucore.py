@@ -21,8 +21,8 @@ allows, so nearly every simulated event carries a core operation:
 Simulated latencies are pure protocol timing -- bus transactions plus
 pipeline occupancy from :class:`~repro.core.pipeline.AlpuTimingModel` --
 and are pinned in ``BENCH_baseline.json`` exactly like the system
-points.  Wall-clock events/sec, in contrast, tracks the Python cost of
-the core model almost 1:1, which makes this the point where the SWAR
+points.  Host time, in contrast, tracks the Python cost of the core
+model almost 1:1, which makes this the point where the SWAR
 vectorization of :mod:`repro.core.block` is visible undiluted: the
 before/after table in EXPERIMENTS.md is anchored here.
 """
@@ -88,11 +88,7 @@ def run_alpucore(
 ) -> AlpuCoreResult:
     """Run the Table I protocol loop against one posted-receive ALPU."""
     if telemetry is not None:
-        engine = Engine(
-            tracer=telemetry.tracer,
-            metrics=telemetry.metrics,
-            profiler=getattr(telemetry, "profiler", None),
-        )
+        engine = Engine(tracer=telemetry.tracer, metrics=telemetry.metrics)
     else:
         engine = Engine()
     fmt = DEFAULT_FORMAT

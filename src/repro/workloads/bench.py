@@ -1,35 +1,19 @@
 """The committed benchmark regression baseline (``BENCH_baseline.json``).
 
 A canonical mini-grid -- one Figure-5 point and one Figure-6 point per
-matching backend (list, hash, alpu128) -- is run on every CI build and
-compared against the committed baseline:
-
-* **Simulated latencies must match exactly.**  The simulator is
-  deterministic; any drift in a latency is a semantic change and fails
-  the check (update the baseline deliberately with ``--write``).
-* **Wall-clock throughput is a gated axis with a per-point tolerance
-  band.**  Each point records the simulator's self-profile (events/sec
-  via :class:`repro.obs.selfprof.SimProfiler`) and the baseline commits
-  an ``events_per_sec_tolerance`` per point.  A slowdown beyond the band
-  prints a warning by default -- machines differ -- and fails the check
-  under ``--fail-on-wallclock`` (for perf-gating runs on the machine
-  that wrote the baseline).
-
-A third file, ``BENCH_before.json``, freezes the grid as measured at the
-commit *before* the SWAR core vectorization (plus the core-stress point
-back-measured at that commit).  ``--compare`` joins a fresh run against
-it and emits the before/after events-per-sec table of the EXPERIMENTS.md
-performance model; ``--require-speedup 5.0`` is the vectorization gate:
-at least one pinned point must run >=5x faster than it did before.
+matching backend (list, hash, alpu128), plus the deep-queue, topology and
+core-stress points -- is run on every CI build and compared against the
+committed baseline.  **Simulated latencies must match exactly.**  The
+simulator is deterministic; any drift in a latency is a semantic change
+and fails the check (update the baseline deliberately with ``--write``).
+The simulator's *host* time is not measured here: ``perfbench/`` owns
+that measurement.
 
 CLI::
 
     python -m repro.workloads.bench --check [BENCH_baseline.json]
-    python -m repro.workloads.bench --check --fail-on-wallclock
     python -m repro.workloads.bench --write [BENCH_baseline.json]
     python -m repro.workloads.bench --check --artifacts out/
-    python -m repro.workloads.bench --check --compare --require-speedup 5.0
-    python -m repro.workloads.bench --check --compare --markdown table.md
 
 ``--artifacts DIR`` additionally runs one attribution-instrumented
 Figure-5 point (list vs. alpu at queue depth 50) and drops the text
@@ -50,14 +34,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 #: committed baseline location, relative to the repository root
 DEFAULT_PATH = "BENCH_baseline.json"
 
-#: schema version of the baseline file (2: per-point
-#: ``events_per_sec_tolerance`` bands)
-BASELINE_VERSION = 2
-
-#: default per-point wall-clock tolerance band, as a fraction of the
-#: baseline events/sec; ``--write`` stamps it onto every record and v1
-#: baselines without bands fall back to it
-DEFAULT_WALLCLOCK_TOLERANCE = 0.25
+#: schema version of the baseline file (3: records carry only the
+#: pinned latencies -- no host-time fields)
+BASELINE_VERSION = 3
 
 #: the canonical mini-grid: (benchmark, preset, params).  Small iteration
 #: counts keep the CI step in seconds; the latencies are deterministic
@@ -112,8 +91,7 @@ GRID: Tuple[Tuple[str, str, Dict[str, object]], ...] = (
     ),
     # the vectorized-core stress point: a fill/drain op stream against one
     # large ALPU, where nearly every event carries a core operation (see
-    # repro.workloads.alpucore).  This is the pinned point the >=5x
-    # vectorization gate (--compare --require-speedup) is anchored on.
+    # repro.workloads.alpucore)
     (
         "alpucore",
         "alpu1024x512",
@@ -131,24 +109,19 @@ def _point_id(benchmark: str, preset: str, params: Dict[str, object]) -> str:
 
 
 def run_grid() -> List[Dict[str, object]]:
-    """Run every grid point with the self-profiler on; returns records."""
-    from repro.obs.telemetry import Telemetry
+    """Run every grid point (no telemetry); returns records."""
     from repro.workloads.alpucore import AlpuCoreParams, run_alpucore
     from repro.workloads.sweep import BENCHMARKS, nic_preset
 
     records = []
     for benchmark, preset, params in GRID:
-        bundle = Telemetry(tracing=False, profile=True)
         if benchmark == "alpucore":
             # drives one AlpuDevice directly -- no NIC preset involved;
             # the preset column is purely the geometry label
-            result = run_alpucore(AlpuCoreParams(**params), telemetry=bundle)
+            result = run_alpucore(AlpuCoreParams(**params))
         else:
             workload = BENCHMARKS[benchmark]
-            result = workload.run(
-                nic_preset(preset), workload.params_cls(**params), telemetry=bundle
-            )
-        profile = bundle.profiler.snapshot(top=5)
+            result = workload.run(nic_preset(preset), workload.params_cls(**params))
         records.append(
             {
                 "id": _point_id(benchmark, preset, params),
@@ -157,9 +130,6 @@ def run_grid() -> List[Dict[str, object]]:
                 "params": dict(params),
                 "latencies_ns": list(result.latencies_ns),
                 "median_ns": result.median_ns,
-                "events": profile["events"],
-                "events_per_sec": profile["events_per_sec"],
-                "events_per_sec_tolerance": DEFAULT_WALLCLOCK_TOLERANCE,
             }
         )
     return records
@@ -178,16 +148,12 @@ def write_baseline(path: str) -> List[Dict[str, object]]:
 def check_baseline(
     path: str,
     records: Optional[List[Dict[str, object]]] = None,
-    *,
-    fail_on_wallclock: bool = False,
 ) -> Tuple[bool, List[str]]:
     """Compare a fresh grid run against the committed baseline.
 
-    Returns ``(ok, messages)``.  Simulated-latency mismatches (and
-    structural drift of the grid itself) always fail.  An events/sec
-    rate below a point's committed tolerance band warns by default and
-    fails only under ``fail_on_wallclock`` -- CI machines differ from
-    the baseline-writing machine, so the gate is opt-in.
+    Returns ``(ok, messages)``.  Simulated-latency mismatches and
+    structural drift of the grid itself (a missing or a stale point)
+    fail.
     """
     with open(path, "r", encoding="utf-8") as handle:
         baseline = json.load(handle)
@@ -212,94 +178,10 @@ def check_baseline(
             messages.append(
                 f"ok   {record['id']}: median {record['median_ns']:.1f} ns"
             )
-        base_rate = reference.get("events_per_sec") or 0.0
-        rate = record.get("events_per_sec") or 0.0
-        # ``events_per_sec_tolerance`` is consumed here and only here: it
-        # is the per-point fractional band below the committed events/sec
-        # within which a fresh run still passes.  A point recorded at
-        # 100k events/s with tolerance 0.25 tolerates anything >= 75k;
-        # slower than that warns (or fails under --fail-on-wallclock).
-        # Faster never fails -- the band is one-sided.
-        tolerance = reference.get(
-            "events_per_sec_tolerance", DEFAULT_WALLCLOCK_TOLERANCE
-        )
-        if base_rate and rate < base_rate * (1.0 - tolerance):
-            label = "FAIL" if fail_on_wallclock else "WARN"
-            ok = ok and not fail_on_wallclock
-            messages.append(
-                f"{label} {record['id']}: {rate:,.0f} events/s is "
-                f">{tolerance:.0%} below baseline "
-                f"{base_rate:,.0f} events/s"
-            )
     for stale in by_id:
         ok = False
         messages.append(f"FAIL {stale}: in baseline but not in the grid")
     return ok, messages
-
-
-# ------------------------------------------------------------ comparison
-#: frozen pre-vectorization grid (measured at the commit before the SWAR
-#: core landed), the "before" side of the performance-model tables
-BEFORE_PATH = "BENCH_before.json"
-
-
-def compare_records(
-    before_path: str, records: List[Dict[str, object]]
-) -> List[Dict[str, object]]:
-    """Join a grid run against a frozen "before" baseline, point by point.
-
-    Returns one row per current-grid point: before/after events/sec, the
-    speedup, and whether the simulated latencies are identical (the
-    bit-identity column -- ``None`` when the before grid lacks the
-    point).  Points absent from the before file get ``before == None``.
-    """
-    with open(before_path, "r", encoding="utf-8") as handle:
-        before = json.load(handle)
-    by_id = {record["id"]: record for record in before.get("grid", ())}
-    rows = []
-    for record in records:
-        reference = by_id.get(record["id"])
-        before_rate = reference.get("events_per_sec") if reference else None
-        rate = record.get("events_per_sec") or 0.0
-        rows.append(
-            {
-                "id": record["id"],
-                "before_events_per_sec": before_rate,
-                "events_per_sec": rate,
-                "speedup": (rate / before_rate) if before_rate else None,
-                "latencies_identical": (
-                    record["latencies_ns"] == reference["latencies_ns"]
-                    if reference
-                    else None
-                ),
-            }
-        )
-    return rows
-
-
-def format_comparison_markdown(rows: List[Dict[str, object]]) -> str:
-    """The before/after table as GitHub-flavoured markdown."""
-    lines = [
-        "| grid point | before (events/s) | after (events/s) | speedup "
-        "| simulated latency |",
-        "|---|---:|---:|---:|---|",
-    ]
-    for row in rows:
-        before_rate = row["before_events_per_sec"]
-        before_text = f"{before_rate:,.0f}" if before_rate else "--"
-        speedup = row["speedup"]
-        speedup_text = f"{speedup:.2f}x" if speedup else "new point"
-        identical = row["latencies_identical"]
-        identity_text = (
-            "identical" if identical else "new point" if identical is None
-            else "**DRIFTED**"
-        )
-        lines.append(
-            f"| `{row['id']}` | {before_text} "
-            f"| {row['events_per_sec']:,.0f} | {speedup_text} "
-            f"| {identity_text} |"
-        )
-    return "\n".join(lines) + "\n"
 
 
 # ------------------------------------------------------------- artifacts
@@ -362,12 +244,10 @@ def write_artifacts(directory: str) -> List[str]:
         json.dump(reports, handle, indent=1)
     written.append(json_path)
     # the unified run report of one fully-instrumented point (timeline,
-    # health, lifecycles, self-profile) -- the CI-browsable artifact
+    # health, lifecycles) -- the CI-browsable artifact
     from repro.analysis.report import write_artifacts as write_run_report
 
-    bundle = Telemetry(
-        tracing=False, lifecycle=True, timeline=True, health=True, profile=True
-    )
+    bundle = Telemetry(tracing=False, lifecycle=True, timeline=True, health=True)
     result = run_preposted(nic_preset("alpu128"), params, telemetry=bundle)
     document = bundle.report(
         benchmark="preposted",
@@ -406,52 +286,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="also write attribution reports, Chrome traces and the "
         "unified run report into DIR",
     )
-    parser.add_argument(
-        "--fail-on-wallclock",
-        action="store_true",
-        help="fail --check when events/sec falls below a point's "
-        "committed tolerance band (default: warn only)",
-    )
-    parser.add_argument(
-        "--compare",
-        metavar="BEFORE",
-        nargs="?",
-        const=BEFORE_PATH,
-        help="also print a before/after events-per-sec comparison against "
-        f"a frozen baseline (default {BEFORE_PATH})",
-    )
-    parser.add_argument(
-        "--markdown",
-        metavar="FILE",
-        help="with --compare: write the table as GitHub-flavoured "
-        "markdown to FILE ('-' for stdout); CI appends it to the job "
-        "summary",
-    )
-    parser.add_argument(
-        "--require-speedup",
-        type=float,
-        metavar="X",
-        help="with --compare: fail unless at least one compared point "
-        "runs >= X times faster than the before baseline (the "
-        "vectorization gate uses 5.0)",
-    )
     args = parser.parse_args(argv)
 
     status = 0
-    records = None
     if args.write:
         records = write_baseline(args.path)
         print(f"wrote {args.path} ({len(records)} grid points)")
         for record in records:
-            print(
-                f"  {record['id']}: median {record['median_ns']:.1f} ns, "
-                f"{record['events_per_sec']:,.0f} events/s"
-            )
+            print(f"  {record['id']}: median {record['median_ns']:.1f} ns")
     else:
-        records = run_grid()
-        ok, messages = check_baseline(
-            args.path, records, fail_on_wallclock=args.fail_on_wallclock
-        )
+        ok, messages = check_baseline(args.path)
         for message in messages:
             print(message)
         if not ok:
@@ -459,33 +303,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             status = 1
         else:
             print("benchmark baseline check passed")
-    if args.compare:
-        rows = compare_records(args.compare, records)
-        table = format_comparison_markdown(rows)
-        if args.markdown and args.markdown != "-":
-            with open(args.markdown, "w", encoding="utf-8") as handle:
-                handle.write(table)
-            print(f"comparison table: {args.markdown}")
-        else:
-            print(table, end="")
-        if any(row["latencies_identical"] is False for row in rows):
-            print("comparison: simulated latencies DRIFTED from the "
-                  "before baseline")
-            status = 1
-        if args.require_speedup is not None:
-            speedups = [row["speedup"] for row in rows if row["speedup"]]
-            best = max(speedups, default=0.0)
-            if best < args.require_speedup:
-                print(
-                    f"speedup gate FAILED: best point is {best:.2f}x, "
-                    f"needed >= {args.require_speedup:.2f}x"
-                )
-                status = 1
-            else:
-                print(
-                    f"speedup gate passed: best point {best:.2f}x "
-                    f">= {args.require_speedup:.2f}x"
-                )
     if args.artifacts:
         for path in write_artifacts(args.artifacts):
             print(f"artifact: {path}")

@@ -5,7 +5,8 @@ and a 2-rank crossbar -- through every output format and checks that the
 three renderings (JSON document, terminal text, HTML) agree on the
 fabric totals, that the heatmap names the hotspot, and that fabrics
 without a grid shape (crossbar) or without a snapshot at all (legacy
-reports) still render.
+reports) still render, as do older artifacts carrying a since-removed
+simulator self-profile section.
 """
 
 import html as html_mod
@@ -117,3 +118,33 @@ class TestLegacyDocuments:
         document = load_report(str(path))
         assert document["fabric"] is None
         assert "<h2>Fabric</h2>" not in render_html(document)
+
+    def test_v3_artifact_with_a_self_profile_section_still_renders(
+        self, tmp_path
+    ):
+        """Artifacts written while the report carried a simulator
+        self-profile keep loading; the section is no longer rendered."""
+        path = tmp_path / "v3-profiled.report.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "version": 3,
+                    "meta": {"benchmark": "preposted"},
+                    "metrics": {},
+                    "profile": {
+                        "events": 820,
+                        "handler_seconds": 0.01,
+                        "events_per_sec": 82000.0,
+                        "top_handlers": {
+                            "Process._resume": {"events": 400, "seconds": 0.005}
+                        },
+                    },
+                }
+            )
+        )
+        document = load_report(str(path))
+        text = render_text(document)
+        page = render_html(document)
+        assert "preposted" in text and "healthy" in text
+        assert "events/sec" not in text and "Process._resume" not in text
+        assert "Run report" in page and "self-profile" not in page

@@ -1,12 +1,12 @@
-"""The flight recorder and self-profiler never move a latency.
+"""The flight recorder, timeline and watchdogs never move a latency.
 
 Two layers of pinning:
 
 * the **absolute** pre-PR latencies of four benchmark points are coded
   in (captured before the lifecycle layer existed), so any accidental
   simulated-time charge anywhere in the recording path fails loudly;
-* every observability combination (lifecycle, profiler, everything at
-  once) must reproduce the plain run **bit-identically**.
+* every observability combination (lifecycle, timeline + health,
+  everything at once) must reproduce the plain run **bit-identically**.
 """
 
 import pytest
@@ -56,13 +56,6 @@ class TestPinnedLatencies:
         assert len(pings) == FAST["iterations"]
         assert all(lc.complete for lc in pings)
 
-    def test_profiler_is_zero_perturbation(self, workload, preset):
-        bundle = Telemetry(tracing=False, profile=True)
-        result = run_point(workload, preset, telemetry=bundle)
-        assert result.latencies_ns == PINNED[(workload, preset)]
-        assert bundle.profiler.events > 0
-        assert bundle.profiler.events_per_sec > 0
-
     def test_timeline_and_watchdogs_are_zero_perturbation(
         self, workload, preset
     ):
@@ -79,7 +72,7 @@ class TestPinnedLatencies:
         assert bundle.health_verdict() == "healthy"
 
     def test_everything_on_is_zero_perturbation(self, workload, preset):
-        bundle = Telemetry(lifecycle=True, profile=True, timeline=True, health=True)
+        bundle = Telemetry(lifecycle=True, timeline=True, health=True)
         result = run_point(workload, preset, telemetry=bundle)
         assert result.latencies_ns == PINNED[(workload, preset)]
 

@@ -34,8 +34,6 @@ class TestGrid:
         assert len(set(ids)) == len(ids)
         for record in grid_records:
             assert record["latencies_ns"], record["id"]
-            assert record["events"] > 0
-            assert record["events_per_sec"] > 0
 
     def test_point_ids_omit_iteration_axes(self):
         point = bench._point_id("preposted", "baseline", bench.GRID[0][2])
@@ -53,7 +51,7 @@ class TestCheck:
         write_baseline(str(path))
         ok, messages = check_baseline(str(path), grid_records)
         assert ok
-        assert all(m.startswith(("ok", "WARN")) for m in messages)
+        assert all(m.startswith("ok") for m in messages)
 
     def test_tampered_latency_fails(self, baseline_path, grid_records):
         payload = json.loads(baseline_path.read_text())
@@ -79,48 +77,6 @@ class TestCheck:
         ok, messages = check_baseline(str(baseline_path), grid_records)
         assert not ok
         assert any("not in baseline" in m for m in messages)
-
-    def test_wallclock_regression_warns_but_passes(
-        self, baseline_path, grid_records
-    ):
-        payload = json.loads(baseline_path.read_text())
-        for record in payload["grid"]:
-            record["events_per_sec"] = record["events_per_sec"] * 100
-        baseline_path.write_text(json.dumps(payload))
-        ok, messages = check_baseline(str(baseline_path), grid_records)
-        assert ok  # wall clock warns by default
-        assert any(m.startswith("WARN") for m in messages)
-
-    def test_wallclock_regression_fails_when_gated(
-        self, baseline_path, grid_records
-    ):
-        payload = json.loads(baseline_path.read_text())
-        for record in payload["grid"]:
-            record["events_per_sec"] = record["events_per_sec"] * 100
-        baseline_path.write_text(json.dumps(payload))
-        ok, messages = check_baseline(
-            str(baseline_path), grid_records, fail_on_wallclock=True
-        )
-        assert not ok
-        assert any(
-            m.startswith("FAIL") and "events/s" in m for m in messages
-        )
-        # latencies themselves still pass: only the wall-clock axis trips
-        assert any(m.startswith("ok") for m in messages)
-
-    def test_tolerance_band_is_per_point(self, baseline_path, grid_records):
-        """A point's committed band overrides the default: a wide band
-        swallows a slowdown the default would flag."""
-        payload = json.loads(baseline_path.read_text())
-        for record in payload["grid"]:
-            record["events_per_sec"] = record["events_per_sec"] * 100
-            record["events_per_sec_tolerance"] = 0.999
-        baseline_path.write_text(json.dumps(payload))
-        ok, messages = check_baseline(
-            str(baseline_path), grid_records, fail_on_wallclock=True
-        )
-        assert ok, "\n".join(messages)
-        assert not any("events/s" in m for m in messages)
 
 
 class TestCli:
@@ -175,93 +131,3 @@ class TestArtifacts:
         assert report["version"] == 3
         assert report["health"]["verdict"] == "healthy"
         assert report["attribution"]["aggregate"]["count"] > 0
-
-
-class TestCompare:
-    """The before/after join against a frozen pre-vectorization grid."""
-
-    @pytest.fixture()
-    def before_path(self, tmp_path, grid_records):
-        """A doctored before file: point 0 ran at half speed (a 2.00x
-        speedup today), point 1 is absent (a new grid point), point 2
-        carries a tampered simulated latency (drift)."""
-        grid = [json.loads(json.dumps(record)) for record in grid_records]
-        grid[0]["events_per_sec"] /= 2
-        grid[2]["latencies_ns"] = [v + 1.0 for v in grid[2]["latencies_ns"]]
-        del grid[1]
-        path = tmp_path / "before.json"
-        path.write_text(
-            json.dumps({"version": bench.BASELINE_VERSION, "grid": grid})
-        )
-        return path
-
-    def test_compare_rows(self, before_path, grid_records):
-        rows = bench.compare_records(str(before_path), grid_records)
-        assert len(rows) == len(grid_records)
-        by_id = {row["id"]: row for row in rows}
-        sped_up = by_id[grid_records[0]["id"]]
-        assert sped_up["speedup"] == pytest.approx(2.0)
-        assert sped_up["latencies_identical"] is True
-        new_point = by_id[grid_records[1]["id"]]
-        assert new_point["before_events_per_sec"] is None
-        assert new_point["speedup"] is None
-        assert new_point["latencies_identical"] is None
-        drifted = by_id[grid_records[2]["id"]]
-        assert drifted["latencies_identical"] is False
-
-    def test_markdown_table(self, before_path, grid_records):
-        rows = bench.compare_records(str(before_path), grid_records)
-        table = bench.format_comparison_markdown(rows)
-        assert table.startswith("| grid point |")
-        assert "2.00x" in table
-        assert "new point" in table
-        assert "**DRIFTED**" in table
-
-    def test_committed_before_grid_is_latency_identical(self, grid_records):
-        # bit-identity against the frozen pre-vectorization grid: the
-        # SWAR core and event-engine work must not change what the
-        # simulator computes, only how fast the host computes it
-        rows = bench.compare_records(bench.BEFORE_PATH, grid_records)
-        assert rows, "before grid joined no points"
-        joined = [row for row in rows if row["latencies_identical"] is not None]
-        assert joined, "before grid joined no points"
-        for row in joined:
-            assert row["latencies_identical"] is True, row["id"]
-        # grid points added after the freeze join as "new point"; the
-        # deep-queue anchor is the only one so far
-        new_points = [
-            row["id"] for row in rows if row["latencies_identical"] is None
-        ]
-        assert new_points == ["unexpected/baseline/queue_length=512"]
-
-    def test_cli_compare_fails_on_drift(
-        self, baseline_path, before_path, capsys
-    ):
-        status = bench.main(
-            ["--check", str(baseline_path), "--compare", str(before_path)]
-        )
-        assert status == 1
-        out = capsys.readouterr().out
-        assert "DRIFTED" in out
-
-    def test_cli_speedup_gate_and_markdown_file(
-        self, tmp_path, grid_records, baseline_path, capsys
-    ):
-        grid = [json.loads(json.dumps(record)) for record in grid_records]
-        grid[0]["events_per_sec"] /= 2
-        before = tmp_path / "before_clean.json"
-        before.write_text(
-            json.dumps({"version": bench.BASELINE_VERSION, "grid": grid})
-        )
-        table_path = tmp_path / "table.md"
-        argv = [
-            "--check", str(baseline_path),
-            "--compare", str(before),
-            "--markdown", str(table_path),
-            "--require-speedup", "1.5",
-        ]
-        assert bench.main(argv) == 0
-        assert "speedup gate passed" in capsys.readouterr().out
-        assert table_path.read_text().startswith("| grid point |")
-        assert bench.main(argv[:-2] + ["--require-speedup", "1000"]) == 1
-        assert "speedup gate FAILED" in capsys.readouterr().out
