@@ -11,13 +11,13 @@ side by side.
 flight-recorder lifecycles (:mod:`repro.obs.lifecycle`) into per-message
 stage-residency budgets that sum exactly to each message's end-to-end
 latency, aggregates percentile breakdowns, and finds the dominant stage
-and software/ALPU search crossover.  It is also a CLI
-(``python -m repro.analysis.attribution``).
+and software/ALPU search crossover.
 
 :mod:`repro.analysis.report` folds one run's whole telemetry artifact
 (metrics, timeline, health findings, lifecycles, fabric) into
-text/JSON/HTML renderings -- the unified run report
-(``python -m repro.analysis.report``).
+text/JSON/HTML renderings -- the unified run report.  It is the one
+analysis CLI (``python -m repro.analysis.report``): it runs any registry
+workload with every collector on, or reads any saved artifact.
 """
 
 from repro.analysis.curves import (
@@ -40,33 +40,26 @@ from repro.analysis.telemetry import (
     unhealthy_rows,
 )
 
-# attribution's and report's names resolve lazily so `python -m
-# repro.analysis.<mod>` does not re-import the module runpy is about to
-# execute
-_ATTRIBUTION_NAMES = frozenset(
-    {
-        "aggregate",
-        "attribute_run",
-        "budget_rows",
-        "crossover_queue_length",
-        "dominant_stage",
-        "end_to_end_ps",
-        "format_report",
-        "stage_budget",
-        "stage_series",
-    }
+from repro.analysis.attribution import (
+    aggregate,
+    attribute_run,
+    budget_rows,
+    crossover_queue_length,
+    dominant_stage,
+    end_to_end_ps,
+    format_report,
+    stage_budget,
+    stage_series,
 )
 
+# report's names resolve lazily so `python -m repro.analysis.report` does
+# not re-import the module runpy is about to execute
 _REPORT_NAMES = frozenset(
     {"fold", "render_html", "render_json", "render_text", "sparkline"}
 )
 
 
 def __getattr__(name):
-    if name in _ATTRIBUTION_NAMES:
-        from repro.analysis import attribution
-
-        return getattr(attribution, name)
     if name in _REPORT_NAMES:
         from repro.analysis import report
 

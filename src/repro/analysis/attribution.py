@@ -11,31 +11,17 @@ The fold is the telescoping invariant: residency of stage ``i`` is
 rendezvous round trips) summing, so every budget adds up *exactly* to the
 message's end-to-end latency -- asserted here, not merely hoped.
 
-Run as a CLI::
-
-    python -m repro.analysis.attribution --benchmark preposted \
-        --backend list --queue-length 50 --iterations 8
-
-runs one benchmark point with the recorder on and prints the budget
-table (``--json`` for machine-readable output, ``--chrome trace.json``
-for a per-message Perfetto track file, ``--dump lifecycles.json`` to
-save the raw lifecycles; ``--input lifecycles.json`` analyzes a prior
-dump instead of running the simulator).
+The run report (:mod:`repro.analysis.report`) renders these budgets as
+its latency-attribution section; ``python -m repro.analysis.report``
+is the CLI over both.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import statistics
-import sys
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.lifecycle import (
-    MessageLifecycle,
-    TERMINAL_STAGE,
-    lifecycle_chrome_events,
-)
+from repro.obs.lifecycle import MessageLifecycle
 from repro.sim.units import ps_to_ns
 
 #: rendering order for known stages (unknown ones append in first-seen
@@ -246,8 +232,8 @@ def link_budgets(
     Each budget carries ``packets`` (hop traversals, counted at the
     serialize mark), ``bytes``, and the summed ``wait_ps`` /
     ``serialize_ps`` / ``transit_ps`` / ``fault_delay_ps`` residencies
-    -- the congestion-attribution table the fabric CLI and the heatmap
-    caption print.  Residencies come from mark deltas, so the table's
+    -- the congestion-attribution table of the run report's fabric
+    section.  Residencies come from mark deltas, so the table's
     grand total telescopes into the runs' end-to-end budgets.
     """
     field = {
@@ -361,7 +347,7 @@ def attribute_run(
     """The full report for one run: per-message rows + the aggregate.
 
     This is what sweep rows carry when lifecycle recording is on, and
-    what the CLI renders.
+    what the run report renders.
     """
     picked = select(lifecycles, label=label, timed_only=timed_only)
     if not picked:
@@ -440,140 +426,3 @@ def format_report(
         "  (stages sum exactly to end-to-end, per message)"
     )
     return "\n".join(lines)
-
-
-# --------------------------------------------------------------- the CLI
-def _load_lifecycles(path: str) -> List[MessageLifecycle]:
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    return [MessageLifecycle.from_obj(obj) for obj in payload["lifecycles"]]
-
-
-def _run_benchmark(args) -> "object":
-    """Run one benchmark point with the recorder on; returns Telemetry."""
-    # workloads import repro.analysis consumers; keep the dependency lazy
-    from repro.nic.nic import NicConfig
-    from repro.obs.telemetry import Telemetry
-    from repro.workloads.preposted import PrepostedParams, run_preposted
-    from repro.workloads.unexpected import UnexpectedParams, run_unexpected
-
-    if args.backend == "alpu":
-        nic = NicConfig.with_alpu(total_cells=args.alpu_cells)
-    elif args.backend == "list":
-        nic = NicConfig.baseline()
-    else:
-        nic = NicConfig.with_backend(args.backend)
-    telemetry = Telemetry(tracing=False, lifecycle=True)
-    if args.benchmark == "preposted":
-        run_preposted(
-            nic,
-            PrepostedParams(
-                queue_length=args.queue_length,
-                traverse_fraction=args.fraction,
-                message_size=args.size,
-                iterations=args.iterations,
-                warmup=args.warmup,
-            ),
-            telemetry=telemetry,
-        )
-    else:
-        run_unexpected(
-            nic,
-            UnexpectedParams(
-                queue_length=args.queue_length,
-                message_size=args.size,
-                iterations=args.iterations,
-                warmup=args.warmup,
-            ),
-            telemetry=telemetry,
-        )
-    return telemetry
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.attribution",
-        description="Per-message latency attribution for one benchmark point",
-    )
-    parser.add_argument(
-        "--benchmark",
-        choices=("preposted", "unexpected"),
-        default="preposted",
-        help="which Section V-A benchmark to run (default preposted)",
-    )
-    parser.add_argument(
-        "--backend",
-        default="list",
-        help="matching backend: list, hash, alpu, or any registered name",
-    )
-    parser.add_argument("--queue-length", type=int, default=50)
-    parser.add_argument(
-        "--fraction",
-        type=float,
-        default=1.0,
-        help="preposted traverse fraction (ignored for unexpected)",
-    )
-    parser.add_argument("--size", type=int, default=0, help="message bytes")
-    parser.add_argument("--iterations", type=int, default=8)
-    parser.add_argument("--warmup", type=int, default=2)
-    parser.add_argument(
-        "--alpu-cells", type=int, default=256, help="ALPU size for --backend alpu"
-    )
-    parser.add_argument(
-        "--input",
-        metavar="PATH",
-        help="analyze a lifecycle JSON dump instead of running the simulator",
-    )
-    parser.add_argument(
-        "--all-messages",
-        action="store_true",
-        help="include warmup/control messages, not just timed pings",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
-    )
-    parser.add_argument(
-        "--dump", metavar="PATH", help="also write the raw lifecycles as JSON"
-    )
-    parser.add_argument(
-        "--chrome",
-        metavar="PATH",
-        help="also write a per-message-track Chrome trace",
-    )
-    args = parser.parse_args(argv)
-
-    if args.input:
-        lifecycles = _load_lifecycles(args.input)
-        title = f"attribution of {args.input}"
-    else:
-        telemetry = _run_benchmark(args)
-        lifecycles = telemetry.lifecycles()
-        title = (
-            f"{args.benchmark} / {args.backend} backend, "
-            f"queue_length={args.queue_length}"
-        )
-    if args.dump:
-        with open(args.dump, "w", encoding="utf-8") as handle:
-            json.dump(
-                {"lifecycles": [lc.to_obj() for lc in lifecycles]},
-                handle,
-                indent=1,
-            )
-    if args.chrome:
-        with open(args.chrome, "w", encoding="utf-8") as handle:
-            json.dump(
-                {"traceEvents": lifecycle_chrome_events(lifecycles)}, handle
-            )
-    if args.all_messages:
-        report = attribute_run(lifecycles, label=None, timed_only=False)
-    else:
-        report = attribute_run(lifecycles)
-    if args.json:
-        print(json.dumps(report, indent=1))
-    else:
-        print(format_report(report, title=title))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,4 +1,4 @@
-"""The unified run report: one artifact, three renderings.
+"""The unified run report: one artifact, three renderings, one CLI.
 
 :meth:`repro.obs.telemetry.Telemetry.report` captures everything one run
 observed -- metadata, metrics, the windowed timeline, health findings,
@@ -6,28 +6,39 @@ raw lifecycles, the fabric snapshot -- as a single versioned JSON
 document.  This module folds that artifact into human-facing renderings:
 
 * **text** -- a terminal report: verdict and findings up top, per-series
-  timeline sparklines, latency attribution (when lifecycles rode along),
-  queue high-water marks;
-* **json** -- the artifact enriched with the folded attribution, for
-  downstream tooling;
+  timeline sparklines, the fabric tables (totals, every link, routes,
+  per-link budgets, glyph heatmap), latency attribution (when
+  lifecycles rode along), queue high-water marks;
+* **json** -- the artifact enriched with the folded attribution and
+  per-link budgets, for downstream tooling;
 * **html** -- a self-contained page (inline CSS/SVG, no external assets)
   suitable for a CI artifact.
 
-Run as a CLI::
+It is also the one analysis CLI.  Without ``--input`` it runs any
+registry workload (:data:`repro.workloads.sweep.BENCHMARKS`) on any NIC
+preset with every collector on and reports on that run::
 
-    python -m repro.analysis.report --input run.json --html run.html
+    python -m repro.analysis.report --benchmark preposted --preset alpu128 \
+        --param queue_length=50 --param iterations=8 --html run.html
+    python -m repro.analysis.report --benchmark halo --preset alpu128 \
+        --param topology=torus3d --param hotspot_rank=0
 
-renders a saved artifact; without ``--input`` it runs one benchmark
-point with every collector on (like :mod:`repro.analysis.attribution`)
-and reports on that.  Attribution folding happens here, at render time:
-:mod:`repro.obs` stays import-free of :mod:`repro.analysis`.
+``--input`` reads a saved artifact instead: a run report (``--out``
+writes one), one ``--row`` of a sweep telemetry dump, or a bare
+lifecycle dump.  ``--chrome`` writes the per-message tracks of the
+document's lifecycles as a Chrome trace.  Attribution folding happens
+here, at render time: :mod:`repro.obs` stays import-free of
+:mod:`repro.analysis`.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import dataclasses
 import html as html_mod
 import json
+import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -35,9 +46,11 @@ from repro.analysis.attribution import (
     AttributionError,
     attribute_run,
     format_report,
+    link_budgets,
 )
-from repro.obs.health import SEVERITIES, verdict_of
-from repro.obs.lifecycle import MessageLifecycle
+from repro.analysis.telemetry import MAX_DUMP_VERSION
+from repro.obs.health import verdict_of
+from repro.obs.lifecycle import MessageLifecycle, lifecycle_chrome_events
 from repro.obs.telemetry import REPORT_VERSION
 from repro.obs.timeline import Timeline
 
@@ -52,17 +65,36 @@ class ReportError(ValueError):
 
 
 # ------------------------------------------------------------ load / fold
-def load_report(path: str) -> Dict[str, object]:
-    """Load one run-report artifact, upgrading v1 shapes in place.
+def load_report(path: str, row: Optional[int] = None) -> Dict[str, object]:
+    """Load any saved artifact as a run-report document.
 
-    v1 reports (``{"meta", "metrics"}``) predate the version field; they
-    upgrade to the v2 shape with the newer sections empty so every
-    renderer handles both.
+    Three shapes load:
+
+    * a run report -- v1 (``{"meta", "metrics"}``, no version field) and
+      v2 upgrade to the v3 shape with the newer sections empty;
+    * one row (``row``, default 0) of a sweep telemetry dump
+      (:func:`repro.workloads.sweep.dump_telemetry`); the document keeps
+      the row's own ``attribution``;
+    * a bare ``{"lifecycles": [...]}`` lifecycle dump.
+
+    ``row`` is refused for anything but a sweep dump.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    if not isinstance(document, dict) or "metrics" not in document:
-        raise ReportError(f"{path} is not a run-report artifact")
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+    except (OSError, ValueError) as error:
+        raise ReportError(f"cannot read {path}: {error}") from None
+    if isinstance(document, dict) and "rows" in document:
+        return _row_document(path, document, 0 if row is None else row)
+    if not isinstance(document, dict) or not (
+        "metrics" in document or "lifecycles" in document
+    ):
+        raise ReportError(
+            f"{path} is not a run report, a sweep telemetry dump or a "
+            "lifecycle dump"
+        )
+    if row is not None:
+        raise ReportError(f"--row needs a sweep telemetry dump; {path} is not one")
     version = document.get("version", 1)
     if version > REPORT_VERSION:
         raise ReportError(
@@ -71,6 +103,7 @@ def load_report(path: str) -> Dict[str, object]:
         )
     document.setdefault("version", version)
     document.setdefault("meta", {})
+    document.setdefault("metrics", {})
     document.setdefault("timeline", None)
     document.setdefault("health", {"verdict": "healthy", "findings": []})
     document.setdefault("lifecycles", None)
@@ -78,23 +111,69 @@ def load_report(path: str) -> Dict[str, object]:
     return document
 
 
-def fold(document: Dict[str, object]) -> Dict[str, object]:
-    """The artifact plus the render-time attribution fold.
+def _row_document(
+    path: str, dump: Dict[str, object], index: int
+) -> Dict[str, object]:
+    """One sweep-dump row reshaped as a run-report document."""
+    version = dump.get("version", 1)
+    if version > MAX_DUMP_VERSION:
+        raise ReportError(
+            f"{path} is a v{version} sweep dump; this tool understands "
+            f"up to v{MAX_DUMP_VERSION}"
+        )
+    rows = dump["rows"]
+    if not 0 <= index < len(rows):
+        raise ReportError(
+            f"--row {index} out of range ({len(rows)} rows in {path})"
+        )
+    entry = rows[index]
+    meta = {"row": index}
+    meta.update(
+        (key, value)
+        for key, value in entry.items()
+        if isinstance(value, (str, int, float))
+    )
+    meta.update(entry.get("params") or {})
+    return {
+        "version": REPORT_VERSION,
+        "meta": meta,
+        "metrics": entry.get("metrics") or {},
+        "timeline": None,
+        "health": entry.get("health")
+        or {"verdict": "healthy", "findings": []},
+        "lifecycles": None,
+        "fabric": entry.get("fabric"),
+        "attribution": entry.get("attribution"),
+        "link_budgets": None,
+    }
 
-    Adds an ``attribution`` key: the :func:`~repro.analysis.attribution.
-    attribute_run` report when complete lifecycles rode along, else
-    ``None``.  Leaves the input untouched.
+
+def fold(document: Dict[str, object]) -> Dict[str, object]:
+    """The artifact plus the render-time folds of its lifecycles.
+
+    Adds ``attribution`` (the :func:`~repro.analysis.attribution.
+    attribute_run` report) and ``link_budgets`` (the per-link
+    :func:`~repro.analysis.attribution.link_budgets`, when the
+    lifecycles carry per-hop marks) when lifecycles rode along; a
+    document without lifecycles keeps what it carries, else ``None``.
+    Leaves the input untouched.
     """
     enriched = dict(document)
-    enriched["attribution"] = None
+    enriched.setdefault("attribution", None)
+    enriched.setdefault("link_budgets", None)
     lifecycles_obj = document.get("lifecycles")
     if lifecycles_obj:
         lifecycles = [MessageLifecycle.from_obj(o) for o in lifecycles_obj]
+        enriched["link_budgets"] = link_budgets(lifecycles) or None
         try:
             enriched["attribution"] = attribute_run(lifecycles)
         except AttributionError:
-            pass  # no complete messages: the section just stays empty
+            enriched["attribution"] = None  # no complete messages
     return enriched
+
+
+def _folded(document: Dict[str, object]) -> Dict[str, object]:
+    return document if "attribution" in document else fold(document)
 
 
 # -------------------------------------------------------------- sparklines
@@ -206,8 +285,97 @@ def _heat_color(value: float, top: float) -> str:
     return f"#{red:02x}{green:02x}{blue:02x}"
 
 
-def _fabric_text_lines(fabric: Dict[str, object]) -> List[str]:
-    """The terminal fabric section: totals, hottest links, glyph grid."""
+def format_links(fabric: Dict[str, object]) -> str:
+    """Fixed-width per-link table, hottest channels first."""
+    links = sorted(
+        fabric["links"],
+        key=lambda link: (-link["utilization"], link["name"]),
+    )
+    if not links:
+        return "no inter-node channels (single-node fabric)"
+    name_width = max(len(link["name"]) for link in links)
+    header = (
+        f"{'link':<{name_width}} {'util':>6} {'msgs':>6} {'bytes':>10} "
+        f"{'busy ps':>12} {'wait ps':>12} {'peak q':>6} {'faults':>6}"
+    )
+    lines = [header, "-" * len(header)]
+    for link in links:
+        faults = sum((link.get("faults") or {}).values())
+        lines.append(
+            f"{link['name']:<{name_width}} {link['utilization']:>6.1%} "
+            f"{link['messages']:>6} {link['bytes']:>10} "
+            f"{link['busy_ps']:>12} {link['wait_ps']:>12} "
+            f"{link['peak_queue']:>6} {faults:>6}"
+        )
+    return "\n".join(lines)
+
+
+def format_routes(fabric: Dict[str, object], limit: int = 24) -> str:
+    """Per-pair traffic matrix, busiest routes first."""
+    pairs = sorted(
+        fabric["pairs"],
+        key=lambda pair: (-pair["packets"], pair["src"], pair["dst"]),
+    )
+    if not pairs:
+        return "no traffic"
+    shown = pairs[:limit]
+    header = f"{'route':<12} {'packets':>8} {'hops':>5}  path"
+    lines = [header, "-" * len(header)]
+    for pair in shown:
+        path = " -> ".join(
+            str(node) for node in [pair["src"]] + list(pair["route"])
+        )
+        lines.append(
+            f"{pair['src']:>4} -> {pair['dst']:<4} {pair['packets']:>8} "
+            f"{pair['hops']:>5}  {path}"
+        )
+    if len(pairs) > limit:
+        lines.append(f"... {len(pairs) - limit} more pairs")
+    return "\n".join(lines)
+
+
+def format_budgets(budgets: Dict[str, Dict[str, int]]) -> str:
+    """Per-link attribution table off the per-hop lifecycle marks."""
+    if not budgets:
+        return "no per-hop marks recorded (fabric observability off?)"
+    name_width = max(len(name) for name in budgets)
+    header = (
+        f"{'link':<{name_width}} {'pkts':>6} {'bytes':>10} "
+        f"{'wait ps':>12} {'serialize ps':>13} {'transit ps':>12} "
+        f"{'delay ps':>10}"
+    )
+    lines = [header, "-" * len(header)]
+    for name in sorted(
+        budgets, key=lambda n: -budgets[n]["wait_ps"]
+    ):
+        entry = budgets[name]
+        lines.append(
+            f"{name:<{name_width}} {entry['packets']:>6} "
+            f"{entry['bytes']:>10} {entry['wait_ps']:>12} "
+            f"{entry['serialize_ps']:>13} {entry['transit_ps']:>12} "
+            f"{entry['fault_delay_ps']:>10}"
+        )
+    totals = {
+        key: sum(entry[key] for entry in budgets.values())
+        for key in ("packets", "bytes", "wait_ps", "serialize_ps",
+                    "transit_ps", "fault_delay_ps")
+    }
+    lines.append("-" * len(header))
+    lines.append(
+        f"{'total':<{name_width}} {totals['packets']:>6} "
+        f"{totals['bytes']:>10} {totals['wait_ps']:>12} "
+        f"{totals['serialize_ps']:>13} {totals['transit_ps']:>12} "
+        f"{totals['fault_delay_ps']:>10}"
+    )
+    return "\n".join(lines)
+
+
+def _fabric_text_lines(
+    fabric: Dict[str, object],
+    budgets: Optional[Dict[str, Dict[str, int]]] = None,
+) -> List[str]:
+    """The terminal fabric section: totals, faults, the hottest link,
+    every link, routes, per-link budgets and the glyph heatmap."""
     topology = fabric["topology"]
     lines = [
         f"fabric: {topology['description']}",
@@ -215,7 +383,8 @@ def _fabric_text_lines(fabric: Dict[str, object]) -> List[str]:
             f"  {fabric['packets_injected']} packets injected, "
             f"{fabric['packets_delivered']} delivered, "
             f"{fabric['hops_forwarded']} forwarded, "
-            f"{fabric['wire_bytes']} wire bytes"
+            f"{fabric['wire_bytes']} wire bytes, "
+            f"{fabric['in_flight']} in flight"
         ),
     ]
     if any(fabric["fault_totals"].values()):
@@ -227,35 +396,25 @@ def _fabric_text_lines(fabric: Dict[str, object]) -> List[str]:
                 if count
             )
         )
-    links = fabric["links"]
-    if not links:
-        return lines
-    top = hottest_links(fabric)
-    hottest = top[0]
-    if hottest["utilization"] > 0:
-        lines.append(
-            f"  hottest link: {hottest['name']} "
-            f"(utilization {hottest['utilization']:.1%}, "
-            f"wait {hottest['wait_ps']} ps, "
-            f"peak queue {hottest['peak_queue']})"
-        )
-    name_width = max(len(link["name"]) for link in top)
-    header = (
-        f"  {'link':<{name_width}} {'util':>6} {'msgs':>6} "
-        f"{'bytes':>9} {'wait ps':>10} {'peak q':>6} {'faults':>6}"
-    )
-    lines.append(header)
-    lines.append("  " + "-" * (len(header) - 2))
-    for link in top:
-        faults = sum((link.get("faults") or {}).values())
-        lines.append(
-            f"  {link['name']:<{name_width}} {link['utilization']:>6.1%} "
-            f"{link['messages']:>6} {link['bytes']:>9} "
-            f"{link['wait_ps']:>10} {link['peak_queue']:>6} "
-            f"{faults:>6}"
-        )
+    if fabric["links"]:
+        hottest = hottest_links(fabric, 1)[0]
+        if hottest["utilization"] > 0:
+            lines.append(
+                f"  hottest link: {hottest['name']} "
+                f"(utilization {hottest['utilization']:.1%}, "
+                f"wait {hottest['wait_ps']} ps, "
+                f"peak queue {hottest['peak_queue']})"
+            )
+    lines += ["", "per-link traffic", format_links(fabric)]
+    lines += ["", "per-route traffic", format_routes(fabric)]
+    if budgets:
+        lines += [
+            "",
+            "per-link attribution (from per-hop lifecycle marks)",
+            format_budgets(budgets),
+        ]
     dims = topology.get("dims")
-    if dims:
+    if dims and fabric["links"]:
         heat = node_heat(fabric)
         peak = max(heat.values())
         extent_x = dims[0]
@@ -263,13 +422,13 @@ def _fabric_text_lines(fabric: Dict[str, object]) -> List[str]:
         planes = 1
         for extent in dims[2:]:
             planes *= extent
+        lines.append("")
         lines.append(
-            f"  node heatmap (glyph = hottest incident link, "
-            f"peak {peak:.1%}):"
+            f"node heatmap (glyph = hottest incident link, peak {peak:.1%}):"
         )
         for plane in range(planes):
             if planes > 1:
-                lines.append(f"    z={plane}")
+                lines.append(f"  z={plane}")
             for y in range(extent_y):
                 row = []
                 for x in range(extent_x):
@@ -438,9 +597,7 @@ def queue_high_water(document: Dict[str, object]) -> List[Tuple[str, int]]:
 
 def render_text(document: Dict[str, object]) -> str:
     """The terminal rendering of one (folded or raw) artifact."""
-    document = (
-        document if "attribution" in document else fold(document)
-    )
+    document = _folded(document)
     meta = document.get("meta") or {}
     health = document.get("health") or {"verdict": "healthy", "findings": []}
     findings = health.get("findings", [])
@@ -473,7 +630,7 @@ def render_text(document: Dict[str, object]) -> str:
     fabric = document.get("fabric")
     if fabric:
         lines.append("")
-        lines.extend(_fabric_text_lines(fabric))
+        lines.extend(_fabric_text_lines(fabric, document.get("link_budgets")))
     attribution = document.get("attribution")
     if attribution:
         lines.append("")
@@ -531,9 +688,7 @@ def _spark_svg(values: Sequence[float], width=160, height=28) -> str:
 
 def render_html(document: Dict[str, object]) -> str:
     """A self-contained HTML page for one (folded or raw) artifact."""
-    document = (
-        document if "attribution" in document else fold(document)
-    )
+    document = _folded(document)
     esc = html_mod.escape
     meta = document.get("meta") or {}
     health = document.get("health") or {"verdict": "healthy", "findings": []}
@@ -655,20 +810,22 @@ def render_html(document: Dict[str, object]) -> str:
 
 def render_json(document: Dict[str, object]) -> str:
     """The folded artifact as indented JSON."""
-    document = (
-        document if "attribution" in document else fold(document)
-    )
+    document = _folded(document)
     return json.dumps(document, indent=1, sort_keys=True)
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+        handle.write("\n")
 
 
 def write_artifacts(
     document: Dict[str, object], directory, stem: str = "run_report"
 ) -> List[str]:
     """Write text/JSON/HTML renderings into ``directory``; returns paths."""
-    import os
-
     os.makedirs(directory, exist_ok=True)
-    folded = fold(document) if "attribution" not in document else document
+    folded = _folded(document)
     written = []
     for suffix, renderer in (
         (".txt", render_text),
@@ -676,105 +833,146 @@ def write_artifacts(
         (".html", render_html),
     ):
         path = os.path.join(directory, stem + suffix)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(renderer(folded))
-            handle.write("\n")
+        _write(path, renderer(folded))
         written.append(path)
     return written
 
 
 # --------------------------------------------------------------- the CLI
-def _run_benchmark(args) -> Dict[str, object]:
-    """One benchmark point with every collector on; returns the report."""
-    from repro.nic.nic import NicConfig
-    from repro.obs.telemetry import Telemetry
-    from repro.workloads.preposted import PrepostedParams, run_preposted
-    from repro.workloads.unexpected import UnexpectedParams, run_unexpected
+def _params(params_cls: type, assignments: Sequence[str]):
+    """``params_cls`` built from ``NAME=VALUE`` strings.
 
-    if args.backend == "alpu":
-        nic = NicConfig.with_alpu(total_cells=args.alpu_cells)
-    elif args.backend == "list":
-        nic = NicConfig.baseline()
-    else:
-        nic = NicConfig.with_backend(args.backend)
-    telemetry = Telemetry(tracing=False, lifecycle=True, timeline=True, health=True)
-    meta: Dict[str, object] = {
-        "benchmark": args.benchmark,
-        "backend": args.backend,
-        "queue_length": args.queue_length,
-        "iterations": args.iterations,
-    }
-    if args.benchmark == "preposted":
-        result = run_preposted(
-            nic,
-            PrepostedParams(
-                queue_length=args.queue_length,
-                iterations=args.iterations,
-                warmup=args.warmup,
-            ),
-            telemetry=telemetry,
-        )
-    else:
-        result = run_unexpected(
-            nic,
-            UnexpectedParams(
-                queue_length=args.queue_length,
-                iterations=args.iterations,
-                warmup=args.warmup,
-            ),
-            telemetry=telemetry,
-        )
-    meta["mean_latency_ns"] = round(result.mean_ns, 3)
-    return telemetry.report(**meta)
+    Each value parses with :func:`ast.literal_eval`, falling back to the
+    raw string; the dataclass validates the result.
+    """
+    fields = [field.name for field in dataclasses.fields(params_cls)]
+    overrides: Dict[str, object] = {}
+    for assignment in assignments:
+        name, _, raw = assignment.partition("=")
+        if name not in fields:
+            raise ReportError(
+                f"unknown --param {name!r} for {params_cls.__name__}; "
+                f"valid fields: {', '.join(fields)}"
+            )
+        try:
+            overrides[name] = ast.literal_eval(raw)
+        except (ValueError, SyntaxError):
+            overrides[name] = raw
+    try:
+        return params_cls(**overrides)
+    except (TypeError, ValueError) as error:
+        raise ReportError(
+            f"{params_cls.__name__} rejects {overrides}: {error}"
+        ) from None
+
+
+def _run_live(
+    benchmark: str, preset: str, assignments: Sequence[str]
+) -> Dict[str, object]:
+    """One registry run with every collector on; returns its report.
+
+    Fabric observability (per-hop marks and the fabric snapshot) is on
+    for workloads whose params carry a ``topology`` field.
+    """
+    # workloads import repro.analysis consumers; keep the dependency lazy
+    from repro.obs.telemetry import Telemetry
+    from repro.workloads.sweep import BENCHMARKS, nic_preset
+
+    workload = BENCHMARKS[benchmark]
+    params = _params(workload.params_cls, assignments)
+    telemetry = Telemetry(
+        tracing=False,
+        lifecycle=True,
+        timeline=True,
+        health=True,
+        fabric=hasattr(params, "topology"),
+    )
+    result = workload.run(nic_preset(preset), params, telemetry=telemetry)
+    return telemetry.report(
+        benchmark=benchmark,
+        preset=preset,
+        **dataclasses.asdict(params),
+        median_ns=round(result.median_ns, 3),
+    )
+
+
+def _chrome_trace(document: Dict[str, object], source: str) -> Dict[str, object]:
+    lifecycles_obj = document.get("lifecycles")
+    if not lifecycles_obj:
+        raise ReportError(f"--chrome needs lifecycles; {source} carries none")
+    lifecycles = [MessageLifecycle.from_obj(o) for o in lifecycles_obj]
+    return {"traceEvents": lifecycle_chrome_events(lifecycles)}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    from repro.workloads.sweep import BENCHMARKS, PRESETS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.report",
-        description="Render a unified run report (text/JSON/HTML)",
+        description="Run one registry workload with every collector on, "
+        "or load a saved artifact, and render its run report",
     )
     parser.add_argument(
         "--input",
         metavar="PATH",
-        help="a saved Telemetry.report() JSON artifact; omit to run one "
-        "benchmark point with all collectors on",
+        help="a saved run report, sweep telemetry dump or lifecycle dump; "
+        "omit to run --benchmark live",
     )
     parser.add_argument(
-        "--benchmark",
-        choices=("preposted", "unexpected"),
-        default="preposted",
+        "--row",
+        type=int,
+        metavar="N",
+        help="row of a sweep telemetry dump (default 0)",
     )
-    parser.add_argument("--backend", default="list")
-    parser.add_argument("--queue-length", type=int, default=50)
-    parser.add_argument("--iterations", type=int, default=8)
-    parser.add_argument("--warmup", type=int, default=2)
     parser.add_argument(
-        "--alpu-cells", type=int, default=256, help="ALPU size for --backend alpu"
+        "--benchmark", choices=tuple(BENCHMARKS), default="preposted"
+    )
+    parser.add_argument(
+        "--preset", choices=PRESETS + ("hash",), default="baseline"
+    )
+    parser.add_argument(
+        "--param",
+        action="append",
+        default=[],
+        metavar="NAME=VALUE",
+        help="set one field of the workload's params (repeatable)",
     )
     parser.add_argument(
         "--json", action="store_true", help="print JSON instead of text"
     )
     parser.add_argument(
+        "--out", metavar="PATH", help="also write the JSON artifact"
+    )
+    parser.add_argument(
         "--html", metavar="PATH", help="also write the HTML rendering"
     )
     parser.add_argument(
-        "--out", metavar="PATH", help="also write the JSON artifact"
+        "--chrome",
+        metavar="PATH",
+        help="also write a per-message-track Chrome trace",
     )
     args = parser.parse_args(argv)
 
-    if args.input:
-        document = load_report(args.input)
-    else:
-        document = _run_benchmark(args)
-    folded = fold(document)
+    try:
+        if args.input:
+            if args.param:
+                raise ReportError("--param sets a live run; drop --input")
+            document = load_report(args.input, args.row)
+        elif args.row is not None:
+            raise ReportError("--row needs --input (a sweep telemetry dump)")
+        else:
+            document = _run_live(args.benchmark, args.preset, args.param)
+        folded = fold(document)
+        trace = _chrome_trace(folded, args.input or "the run") if args.chrome else None
+    except ReportError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if args.html:
-        with open(args.html, "w", encoding="utf-8") as handle:
-            handle.write(render_html(folded))
-            handle.write("\n")
+        _write(args.html, render_html(folded))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(render_json(folded))
-            handle.write("\n")
+        _write(args.out, render_json(folded))
+    if trace is not None:
+        _write(args.chrome, json.dumps(trace))
     print(render_json(folded) if args.json else render_text(folded))
     return 0
 

@@ -111,9 +111,9 @@ class MpiWorld:
 
         When given, its registry/tracer ride on the engine (so every
         component self-instruments) and a :class:`SamplingProbe` samples
-        each NIC's posted/unexpected queue depths and ALPU occupancies on
-        ``telemetry.probe_interval_ps``.  A Telemetry object is per-run;
-        do not share one across worlds.
+        each NIC's posted/unexpected queue depths and ALPU occupancies
+        every :data:`~repro.obs.probe.DEFAULT_INTERVAL_PS`.  A Telemetry
+        object is per-run; do not share one across worlds.
         """
         self.config = config = config if config is not None else WorldConfig()
         self.telemetry = telemetry
@@ -164,7 +164,7 @@ class MpiWorld:
                 nic.attach_completion_fifo(lproc, fifo)
             self.hosts.append(Host(self.engine, rank, nic, fifo))
         self.probe: Optional[SamplingProbe] = None
-        if telemetry is not None and telemetry.probe_interval_ps:
+        if telemetry is not None:
             self.probe = self._build_probe(telemetry)
             self.probe.start()
 
@@ -180,7 +180,6 @@ class MpiWorld:
         registry = telemetry.metrics
         probe = SamplingProbe(
             self.engine,
-            telemetry.probe_interval_ps,
             tracer=telemetry.tracer if telemetry.tracer is not None else NULL_TRACER,
             timeline=getattr(telemetry, "timeline", None),
         )

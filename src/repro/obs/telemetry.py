@@ -1,7 +1,7 @@
 """The per-run telemetry bundle.
 
-One :class:`Telemetry` object packages a fresh metrics registry, a fresh
-tracer and the probe period, ready to hand to a world or a workload:
+One :class:`Telemetry` object packages a fresh metrics registry and a
+fresh tracer, ready to hand to a world or a workload:
 
     telemetry = Telemetry()
     result = run_pingpong(NicConfig.with_alpu(256, 16), telemetry=telemetry)
@@ -29,7 +29,6 @@ from repro.obs.chrome import to_chrome
 from repro.obs.health import HealthFinding, HealthMonitor
 from repro.obs.lifecycle import LifecycleRecorder
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.probe import DEFAULT_INTERVAL_PS
 from repro.obs.timeline import Timeline
 from repro.obs.tracer import Tracer
 
@@ -47,7 +46,6 @@ class Telemetry:
         *,
         metrics: bool = True,
         tracing: bool = True,
-        probe_interval_ps: Optional[int] = DEFAULT_INTERVAL_PS,
         lifecycle: bool = False,
         timeline: bool = False,
         health: bool = False,
@@ -55,8 +53,6 @@ class Telemetry:
     ) -> None:
         self.metrics = MetricsRegistry() if metrics else None
         self.tracer = Tracer() if tracing else None
-        #: None disables the periodic queue-depth/occupancy probe
-        self.probe_interval_ps = probe_interval_ps
         #: per-message flight recorder (opt-in; see repro.obs.lifecycle)
         self.lifecycle = LifecycleRecorder() if lifecycle else None
         #: windowed timeseries the sampling probe feeds (opt-in)
@@ -129,18 +125,6 @@ class Telemetry:
         self.health_findings()
         return self.health.verdict()
 
-    def write_lifecycles(self, path) -> dict:
-        """Dump the lifecycle record as JSON (the attribution CLI input)."""
-        document = (
-            self.lifecycle.to_obj()
-            if self.lifecycle is not None
-            else {"lifecycles": []}
-        )
-        with open(path, "w") as handle:
-            json.dump(document, handle, indent=1)
-            handle.write("\n")
-        return document
-
     def write_chrome_trace(self, path) -> dict:
         """Write the Chrome trace JSON (incl. lifecycle tracks) to ``path``."""
         document = self.chrome_trace()
@@ -176,11 +160,3 @@ class Telemetry:
                 else None
             ),
         }
-
-    def write_report(self, path, **meta) -> dict:
-        """Write :meth:`report` to ``path`` as JSON; returns the report."""
-        document = self.report(**meta)
-        with open(path, "w") as handle:
-            json.dump(document, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        return document

@@ -13,21 +13,15 @@ CLI::
 
     python -m repro.workloads.bench --check [BENCH_baseline.json]
     python -m repro.workloads.bench --write [BENCH_baseline.json]
-    python -m repro.workloads.bench --check --artifacts out/
 
-``--artifacts DIR`` additionally runs one attribution-instrumented
-Figure-5 point (list vs. alpu at queue depth 50) and drops the text
-report, the JSON report and a per-message Chrome trace there, plus the
-unified run report (text/JSON/HTML, :mod:`repro.analysis.report`) of one
-fully-instrumented point -- CI uploads the directory as a workflow
-artifact.
+Instrumented runs and their report artifacts are the run report's job
+(``python -m repro.analysis.report``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -184,81 +178,6 @@ def check_baseline(
     return ok, messages
 
 
-# ------------------------------------------------------------- artifacts
-#: the attribution showcase point (the EXPERIMENTS.md budget table)
-ARTIFACT_QUEUE_LENGTH = 50
-
-
-def write_artifacts(directory: str) -> List[str]:
-    """The attribution report + per-message Chrome trace for CI upload.
-
-    Runs the list and alpu128 receivers through one Figure-5 point at
-    queue depth :data:`ARTIFACT_QUEUE_LENGTH` with the flight recorder
-    on; writes ``attribution_<preset>.txt``, ``attribution.json`` and
-    ``lifecycle_trace_<preset>.json`` into ``directory``.
-    """
-    from repro.analysis.attribution import attribute_run, format_report
-    from repro.obs.lifecycle import lifecycle_chrome_events
-    from repro.obs.telemetry import Telemetry
-    from repro.workloads.preposted import PrepostedParams, run_preposted
-    from repro.workloads.sweep import nic_preset
-
-    os.makedirs(directory, exist_ok=True)
-    written: List[str] = []
-    reports: Dict[str, object] = {}
-    params = PrepostedParams(
-        queue_length=ARTIFACT_QUEUE_LENGTH,
-        traverse_fraction=1.0,
-        iterations=8,
-        warmup=2,
-    )
-    for preset in ("baseline", "alpu128"):
-        bundle = Telemetry(tracing=False, lifecycle=True)
-        run_preposted(nic_preset(preset), params, telemetry=bundle)
-        lifecycles = bundle.lifecycles()
-        report = attribute_run(lifecycles)
-        reports[preset] = report
-        text_path = os.path.join(directory, f"attribution_{preset}.txt")
-        with open(text_path, "w", encoding="utf-8") as handle:
-            handle.write(
-                format_report(
-                    report,
-                    title=(
-                        f"preposted / {preset}, "
-                        f"queue_length={ARTIFACT_QUEUE_LENGTH}"
-                    ),
-                )
-            )
-            handle.write("\n")
-        written.append(text_path)
-        trace_path = os.path.join(
-            directory, f"lifecycle_trace_{preset}.json"
-        )
-        with open(trace_path, "w", encoding="utf-8") as handle:
-            json.dump(
-                {"traceEvents": lifecycle_chrome_events(lifecycles)}, handle
-            )
-        written.append(trace_path)
-    json_path = os.path.join(directory, "attribution.json")
-    with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(reports, handle, indent=1)
-    written.append(json_path)
-    # the unified run report of one fully-instrumented point (timeline,
-    # health, lifecycles) -- the CI-browsable artifact
-    from repro.analysis.report import write_artifacts as write_run_report
-
-    bundle = Telemetry(tracing=False, lifecycle=True, timeline=True, health=True)
-    result = run_preposted(nic_preset("alpu128"), params, telemetry=bundle)
-    document = bundle.report(
-        benchmark="preposted",
-        preset="alpu128",
-        queue_length=ARTIFACT_QUEUE_LENGTH,
-        median_ns=result.median_ns,
-    )
-    written.extend(write_run_report(document, directory))
-    return written
-
-
 # --------------------------------------------------------------- the CLI
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
@@ -280,34 +199,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="run the grid, fail on any simulated-latency mismatch",
     )
-    parser.add_argument(
-        "--artifacts",
-        metavar="DIR",
-        help="also write attribution reports, Chrome traces and the "
-        "unified run report into DIR",
-    )
     args = parser.parse_args(argv)
 
-    status = 0
     if args.write:
         records = write_baseline(args.path)
         print(f"wrote {args.path} ({len(records)} grid points)")
         for record in records:
             print(f"  {record['id']}: median {record['median_ns']:.1f} ns")
-    else:
-        ok, messages = check_baseline(args.path)
-        for message in messages:
-            print(message)
-        if not ok:
-            print("benchmark baseline check FAILED")
-            status = 1
-        else:
-            print("benchmark baseline check passed")
-    if args.artifacts:
-        for path in write_artifacts(args.artifacts):
-            print(f"artifact: {path}")
-    return status
-
+        return 0
+    ok, messages = check_baseline(args.path)
+    for message in messages:
+        print(message)
+    print("benchmark baseline check " + ("passed" if ok else "FAILED"))
+    return 0 if ok else 1
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -10,8 +10,9 @@ raising run)::
 
     PYTHONPATH=src python -m repro.workloads.smoke
 
-The ``congestion`` entry also writes its heatmap report, HTML page and
-fabric tables into ``congestion-artifacts/`` for CI upload.
+The ``congestion`` entry also writes its run report (text with the
+fabric tables, JSON, HTML heatmap) into ``congestion-artifacts/`` for CI
+upload.
 """
 
 from __future__ import annotations
@@ -19,16 +20,14 @@ from __future__ import annotations
 import dataclasses
 import html
 import json
-import os
 import sys
 import traceback
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from repro.analysis.attribution import link_budgets, wire_segments
-from repro.analysis.fabric import format_fabric
-from repro.analysis.report import render_html, render_text
+from repro.analysis.attribution import wire_segments
+from repro.analysis.report import write_artifacts
 from repro.network.faults import FaultConfig
 from repro.nic.nic import NicConfig
 from repro.nic.qdisc import QdiscConfig
@@ -197,33 +196,21 @@ def _pinned_latencies(point_id: str) -> List[float]:
 
 
 def _congestion_artifacts(runs: Dict[str, object]) -> Dict[str, object]:
-    """Write the incast run's JSON report, HTML heatmap and fabric tables."""
+    """Write the incast run's report (text, JSON, HTML) and read it back."""
     hot = runs["hot"]
     params = hot.result.params
-    os.makedirs(CONGESTION_ARTIFACTS, exist_ok=True)
-    report = hot.telemetry.write_report(
-        os.path.join(CONGESTION_ARTIFACTS, "congestion.report.json"),
+    document = hot.telemetry.report(
         benchmark="halo",
         scenario="incast",
         ranks=params.ranks,
         topology=params.topology,
         hotspot_rank=params.hotspot_rank,
     )
-    page = render_html(report)
-    tables = format_fabric(
-        report["fabric"],
-        budgets=link_budgets(hot.telemetry.lifecycles()),
-        title="congestion smoke: halo incast on torus3d",
-    )
-    for name, text in (("congestion.report.html", page), ("congestion.tables.txt", tables)):
-        with open(os.path.join(CONGESTION_ARTIFACTS, name), "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.write("\n")
-    print(tables)
+    text_path, _, html_path = write_artifacts(document, CONGESTION_ARTIFACTS, stem="congestion")
     return {
-        "text": render_text(report),
-        "html": page,
-        "hottest": max(report["fabric"]["links"], key=lambda link: link["utilization"]),
+        "text": Path(text_path).read_text(encoding="utf-8"),
+        "html": Path(html_path).read_text(encoding="utf-8"),
+        "hottest": max(document["fabric"]["links"], key=lambda link: link["utilization"]),
     }
 
 

@@ -113,8 +113,8 @@ class Row:
     #: ``{"verdict": str, "findings": [HealthFinding.to_obj(), ...]}``
     health: Optional[Dict[str, object]] = None
     #: fabric snapshot (sweeps with ``fabric=True`` only): per-link
-    #: traffic/contention tallies plus the route table, the input of
-    #: ``python -m repro.analysis.fabric --row N``
+    #: traffic/contention tallies plus the route table, rendered by
+    #: ``python -m repro.analysis.report --input DUMP --row N``
     fabric: Optional[Dict[str, object]] = None
 
 

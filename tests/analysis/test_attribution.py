@@ -7,14 +7,11 @@ The acceptance criteria of the attribution layer:
 * aggregated over a Figure-5 sweep, the search stage grows with queue
   depth for software backends but stays flat for the ALPU;
 * attribution-carrying sweeps are bit-identical between the serial and
-  process-pool execution paths;
-* the ``python -m repro.analysis.attribution`` CLI works end to end.
-"""
+  process-pool execution paths.
 
-import json
-import pathlib
-import subprocess
-import sys
+The run-report CLI that renders these budgets is covered by
+``tests/analysis/test_report_cli.py``.
+"""
 
 import pytest
 
@@ -159,43 +156,3 @@ class TestRendering:
         assert all(
             row["end_to_end_ns"] * 1000 == row["end_to_end_ps"] for row in rows
         )
-
-
-class TestCli:
-    SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
-
-    def run_cli(self, *args):
-        return subprocess.run(
-            [sys.executable, "-m", "repro.analysis.attribution", *args],
-            capture_output=True,
-            text=True,
-            cwd=self.SRC,
-        )
-
-    def test_cli_text_report(self):
-        proc = self.run_cli(
-            "--benchmark", "preposted", "--backend", "list",
-            "--queue-length", "12", "--iterations", "3", "--warmup", "1",
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "match_search" in proc.stdout
-        assert "stages sum exactly" in proc.stdout
-
-    def test_cli_json_dump_and_reload(self, tmp_path):
-        dump = tmp_path / "lifecycles.json"
-        chrome = tmp_path / "trace.json"
-        proc = self.run_cli(
-            "--backend", "alpu", "--queue-length", "8",
-            "--iterations", "3", "--warmup", "1", "--json",
-            "--dump", str(dump), "--chrome", str(chrome),
-        )
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout)
-        for message in report["messages"]:
-            assert sum(message["stages_ps"].values()) == message["end_to_end_ps"]
-        trace = json.loads(chrome.read_text())
-        assert trace["traceEvents"]
-        # the dump round-trips through --input
-        proc2 = self.run_cli("--input", str(dump))
-        assert proc2.returncode == 0, proc2.stderr
-        assert "end-to-end" in proc2.stdout

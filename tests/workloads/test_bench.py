@@ -5,12 +5,7 @@ import json
 import pytest
 
 from repro.workloads import bench
-from repro.workloads.bench import (
-    check_baseline,
-    run_grid,
-    write_artifacts,
-    write_baseline,
-)
+from repro.workloads.bench import check_baseline, run_grid, write_baseline
 
 
 @pytest.fixture(scope="module")
@@ -93,41 +88,3 @@ class TestCli:
         baseline_path.write_text(json.dumps(payload))
         assert bench.main(["--check", str(baseline_path)]) == 1
         assert "FAILED" in capsys.readouterr().out
-
-
-@pytest.mark.slow
-class TestArtifacts:
-    def test_write_artifacts_produces_reports_and_traces(self, tmp_path):
-        out = tmp_path / "artifacts"
-        written = write_artifacts(str(out))
-        names = sorted(p.name for p in out.iterdir())
-        assert names == [
-            "attribution.json",
-            "attribution_alpu128.txt",
-            "attribution_baseline.txt",
-            "lifecycle_trace_alpu128.json",
-            "lifecycle_trace_baseline.json",
-            "run_report.html",
-            "run_report.json",
-            "run_report.txt",
-        ]
-        assert len(written) == 8
-        report = json.loads((out / "attribution.json").read_text())
-        for preset in ("baseline", "alpu128"):
-            for message in report[preset]["messages"]:
-                assert (
-                    sum(message["stages_ps"].values())
-                    == message["end_to_end_ps"]
-                )
-        text = (out / "attribution_baseline.txt").read_text()
-        assert "match_search" in text
-        trace = json.loads(
-            (out / "lifecycle_trace_baseline.json").read_text()
-        )
-        assert trace["traceEvents"]
-        html = (out / "run_report.html").read_text()
-        assert "Run report" in html and "healthy" in html
-        report = json.loads((out / "run_report.json").read_text())
-        assert report["version"] == 3
-        assert report["health"]["verdict"] == "healthy"
-        assert report["attribution"]["aggregate"]["count"] > 0
