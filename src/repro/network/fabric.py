@@ -34,7 +34,7 @@ import dataclasses
 from typing import Dict, List, Optional, Tuple
 
 from repro.network.faults import FaultModel, Verdict
-from repro.network.packet import Packet
+from repro.network.packet import KIND_NAME, Packet, clone
 from repro.network.topology import Topology, TopologyConfig
 from repro.proc.params import NETWORK_WIRE_LATENCY_PS
 from repro.sim.component import Component
@@ -253,12 +253,7 @@ class Fabric(Component):
         key = (packet.src, packet.dst)
         seq = self._seq.get(key, 0)
         self._seq[key] = seq + 1
-        # seq-stamp without dataclasses.replace: replace() re-runs the full
-        # dataclass __init__, and injection is per-packet hot.  Packet has
-        # no __post_init__, so a field-for-field clone is equivalent.
-        stamped = object.__new__(Packet)
-        stamped.__dict__.update(packet.__dict__)
-        stamped.__dict__["seq"] = seq
+        stamped = clone(packet, seq=seq)
         self.packets_injected += 1
         verdict = Verdict.DELIVER if self.faults is None else self.faults.judge(stamped)
         link = self._links[(packet.src, self.topology.next_hop(packet.src, packet.dst))]
@@ -271,14 +266,14 @@ class Fabric(Component):
                 lifecycle.mark_uid(
                     stamped.send_id,
                     "wire_drop",
-                    detail={"kind": stamped.kind.name, "seq": stamped.seq},
+                    detail={"kind": KIND_NAME[stamped.kind], "seq": stamped.seq},
                 )
             tracer = self.engine.tracer
             if tracer.enabled:
                 tracer.instant(
                     "network",
                     f"{self.name}.fault_drop",
-                    {"kind": stamped.kind.name, "src": stamped.src, "dst": stamped.dst},
+                    {"kind": KIND_NAME[stamped.kind], "src": stamped.src, "dst": stamped.dst},
                 )
             return stamped
         if verdict is Verdict.CORRUPT:
@@ -299,10 +294,10 @@ class Fabric(Component):
                 stamped.send_id,
                 "wire",
                 detail={
-                    "kind": stamped.kind.name,
+                    "kind": KIND_NAME[stamped.kind],
                     "src": stamped.src,
                     "dst": stamped.dst,
-                    "bytes": stamped.wire_bytes,
+                    "bytes": wire_bytes,
                 },
             )
         if verdict is Verdict.DELAY:
@@ -330,10 +325,10 @@ class Fabric(Component):
                 "network",
                 f"{self.name}.inject",
                 {
-                    "kind": packet.kind.name,
+                    "kind": KIND_NAME[packet.kind],
                     "src": packet.src,
                     "dst": packet.dst,
-                    "bytes": stamped.wire_bytes,
+                    "bytes": wire_bytes,
                 },
             )
         return stamped
@@ -367,7 +362,7 @@ class Fabric(Component):
                     packet.send_id,
                     "wire_drop",
                     detail={
-                        "kind": packet.kind.name,
+                        "kind": KIND_NAME[packet.kind],
                         "seq": packet.seq,
                         "at_hop": node,
                     },
@@ -378,7 +373,7 @@ class Fabric(Component):
                     "network",
                     f"{self.name}.fault_drop",
                     {
-                        "kind": packet.kind.name,
+                        "kind": KIND_NAME[packet.kind],
                         "src": packet.src,
                         "dst": packet.dst,
                         "at_hop": node,

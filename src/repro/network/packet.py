@@ -38,6 +38,11 @@ class PacketKind(enum.Enum):
     #: spending retry budget -- the receiver is demonstrably alive)
     NACK_BUSY = "nack_busy"
 
+    #: members are singletons compared by identity; Enum's own hash runs a
+    #: Python frame per lookup, and the kind-keyed tables below are read
+    #: per packet
+    __hash__ = object.__hash__
+
 
 @dataclasses.dataclass(frozen=True)
 class Packet:
@@ -69,6 +74,37 @@ class Packet:
         return HEADER_BYTES + (self.payload_bytes if carries_payload else 0)
 
 
+#: ``kind.name`` per kind, for observability details: ``Enum.name`` is a
+#: Python-level property, and details are built per packet
+KIND_NAME = {kind: kind.name for kind in PacketKind}
+
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+#: the checksum's state after its first word, per kind: that word is
+#: ``kind.value``'s bytes read little-endian, the same for every packet
+#: of the kind
+_KIND_DIGEST = {
+    kind: (
+        (_FNV_OFFSET ^ int.from_bytes(kind.value.encode(), "little")) * _FNV_PRIME
+    ) & _MASK64
+    for kind in PacketKind
+}
+
+
+def clone(packet: Packet, **fields) -> Packet:
+    """``dataclasses.replace(packet, **fields)`` without re-running ``__init__``.
+
+    ``replace`` builds the copy through the full dataclass ``__init__``,
+    and stamping is per-packet hot.  Packet has no ``__post_init__``, so
+    a field-for-field copy of ``__dict__`` is equivalent.
+    """
+    copy = object.__new__(Packet)
+    copy.__dict__.update(packet.__dict__, **fields)
+    return copy
+
+
 def header_checksum(packet: Packet) -> int:
     """FNV-1a over the header fields the receiver acts on.
 
@@ -76,9 +112,8 @@ def header_checksum(packet: Packet) -> int:
     injection, so a retransmitted copy would never verify) and the
     ``checksum`` field itself.
     """
-    digest = 0xCBF29CE484222325
+    digest = _KIND_DIGEST[packet.kind]
     for word in (
-        int.from_bytes(packet.kind.value.encode(), "little"),
         packet.src,
         packet.dst,
         packet.match_bits,
@@ -87,6 +122,14 @@ def header_checksum(packet: Packet) -> int:
         packet.recv_id,
         packet.rel_seq & 0xFFFFFFFF,
     ):
-        digest ^= word
-        digest = (digest * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+        digest = ((digest ^ word) * _FNV_PRIME) & _MASK64
     return digest
+
+
+def seal(packet: Packet, rel_seq: int, **fields) -> Packet:
+    """A copy of ``packet`` with ``fields`` and ``rel_seq`` set, checksummed."""
+    sealed = clone(packet, rel_seq=rel_seq, **fields)
+    # the copy is private until returned, so stamping it in place keeps
+    # the stamp to one clone
+    sealed.__dict__["checksum"] = header_checksum(sealed)
+    return sealed

@@ -25,7 +25,7 @@ import dataclasses
 from typing import Dict, Tuple
 
 from repro.core.match import MatchFormat, MatchRequest
-from repro.network.packet import Packet, PacketKind
+from repro.network.packet import KIND_NAME, Packet, PacketKind
 from repro.nic.backends import backend_spec, create_backend
 from repro.nic.driver import AlpuStallError
 from repro.nic.host_interface import Completion, PostRecv, PostSend
@@ -232,7 +232,7 @@ class NicFirmware:
         )
         if self.lifecycle.enabled:
             self.lifecycle.mark_uid(
-                packet.send_id, "nic_rx", detail={"kind": packet.kind.name}
+                packet.send_id, "nic_rx", detail={"kind": KIND_NAME[packet.kind]}
             )
         if packet.kind in (PacketKind.EAGER, PacketKind.RNDV_RTS):
             yield from self._handle_match_packet(packet)

@@ -27,7 +27,7 @@ from repro.core.match import MatchRequest
 from repro.core.pipeline import AlpuTimingModel
 from repro.memory.layout import AddressAllocator
 from repro.network.fabric import Fabric
-from repro.network.packet import Packet, PacketKind
+from repro.network.packet import KIND_NAME, Packet, PacketKind
 from repro.nic.alpu_device import AlpuDevice, AlpuFaultConfig
 from repro.nic.dma import DmaConfig, DmaEngine
 from repro.nic.driver import AlpuQueueDriver, DriverConfig
@@ -311,7 +311,7 @@ class Nic(Component):
             lifecycle.mark_uid(
                 packet.send_id,
                 "rx_queue",
-                detail={"node": self.node_id, "kind": packet.kind.name},
+                detail={"node": self.node_id, "kind": KIND_NAME[packet.kind]},
             )
         if (
             self.posted_device is not None

@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional, Tuple
 
-from repro.network.packet import Packet, PacketKind, header_checksum
+from repro.network.packet import Packet, PacketKind, header_checksum, seal
 from repro.sim.engine import SimulationError
 from repro.sim.timerwheel import TimerHandle, TimerWheel
 from repro.sim.units import us
@@ -99,6 +99,15 @@ class ReliabilityLayer:
         #: dict deletes that never leave tombstones in the engine heap,
         #: and same-deadline bursts share one engine event
         self._timers = TimerWheel(nic.engine)
+        #: one header-only packet per control kind, sealed per use with
+        #: the peer and the rel_seq it answers
+        self._controls = {
+            kind: Packet(
+                kind=kind, src=nic.node_id, dst=nic.node_id, match_bits=0,
+                payload_bytes=0,
+            )
+            for kind in (PacketKind.ACK, PacketKind.NACK, PacketKind.NACK_BUSY)
+        }
         registry = self.engine.metrics
         prefix = f"{nic.name}.rel"
         self._m_retransmits = registry.counter(f"{prefix}/retransmits")
@@ -137,8 +146,7 @@ class ReliabilityLayer:
         """Stamp, track, and inject one firmware data packet."""
         seq = self._next_tx_seq.get(packet.dst, 0)
         self._next_tx_seq[packet.dst] = seq + 1
-        stamped = dataclasses.replace(packet, rel_seq=seq)
-        stamped = dataclasses.replace(stamped, checksum=header_checksum(stamped))
+        stamped = seal(packet, seq)
         record = _TxRecord(stamped, self.config.ack_timeout_ps)
         self._unacked[(stamped.dst, seq)] = record
         self.nic.fabric.inject(stamped)
@@ -294,13 +302,6 @@ class ReliabilityLayer:
 
     def _send_control(self, kind: PacketKind, about: Packet) -> None:
         """Inject a link-level ACK/NACK (no processor involvement)."""
-        control = Packet(
-            kind=kind,
-            src=self.nic.node_id,
-            dst=about.src,
-            match_bits=0,
-            payload_bytes=0,
-            rel_seq=about.rel_seq,
+        self.nic.fabric.inject(
+            seal(self._controls[kind], about.rel_seq, dst=about.src)
         )
-        control = dataclasses.replace(control, checksum=header_checksum(control))
-        self.nic.fabric.inject(control)

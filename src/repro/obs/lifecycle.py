@@ -45,19 +45,23 @@ Identity and correlation:
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 #: the one terminal stage; a complete lifecycle ends with exactly one
 TERMINAL_STAGE = "complete"
 
 
-@dataclasses.dataclass(frozen=True)
-class LifecycleMark:
+class LifecycleMark(NamedTuple):
     """One typed stage transition."""
 
     time_ps: int
     stage: str
     detail: Optional[Dict[str, object]] = None
+
+
+#: builds a mark from a field tuple in C: the NamedTuple's generated
+#: ``__new__`` would cost one Python frame per mark
+_new_mark = tuple.__new__
 
 
 @dataclasses.dataclass
@@ -174,18 +178,15 @@ class LifecycleRecorder:
         time_ps: Optional[int],
         detail: Optional[Dict[str, object]],
     ) -> None:
-        if lifecycle.marks and lifecycle.marks[-1].stage == TERMINAL_STAGE:
+        marks = lifecycle.marks
+        if marks and marks[-1].stage == TERMINAL_STAGE:
             # the message's journey has ended; late wire echoes (e.g. a
             # retransmission fired because the *ACK* was lost after the
             # payload completed) must not un-complete the record
             return
-        lifecycle.marks.append(
-            LifecycleMark(
-                time_ps=self._now() if time_ps is None else time_ps,
-                stage=stage,
-                detail=detail,
-            )
-        )
+        if time_ps is None:
+            time_ps = self._now()
+        marks.append(_new_mark(LifecycleMark, (time_ps, stage, detail)))
 
     # ------------------------------------------------------ request keyed
     def begin(
@@ -357,7 +358,7 @@ class LifecycleRecorder:
         last = lifecycle.marks[-1]
         detail = dict(last.detail) if last.detail else {}
         detail.update(facts)
-        lifecycle.marks[-1] = dataclasses.replace(last, detail=detail)
+        lifecycle.marks[-1] = last._replace(detail=detail)
 
     # -------------------------------------------------------------- output
     def __len__(self) -> int:

@@ -103,14 +103,16 @@ class SamplingProbe:
     def _tick(self) -> None:
         self.ticks += 1
         now_ps = self.ticks * self.interval_ps
+        tracer = self.tracer
+        counter = tracer.counter if tracer.enabled else None
         for sampler in self._samplers:
             value = sampler.fn()
-            if sampler.histogram is not None:
-                sampler.histogram.record(value)
-            if sampler.series is not None:
-                sampler.series.observe(now_ps, value)
-            if self.tracer.enabled:
-                self.tracer.counter(
-                    sampler.category, sampler.name, {"value": value}
-                )
+            histogram = sampler.histogram
+            if histogram is not None:
+                histogram.record(value)
+            series = sampler.series
+            if series is not None:
+                series.observe(now_ps, value)
+            if counter is not None:
+                counter(sampler.category, sampler.name, {"value": value})
         self.engine.schedule(self.interval_ps, self._tick)

@@ -26,8 +26,7 @@ so the disabled default (:data:`NULL_TRACER`) costs one attribute read.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 
 #: record kinds, mirroring the Chrome trace-event phases they export to
@@ -37,8 +36,7 @@ KIND_INSTANT = "instant"
 KIND_COUNTER = "counter"
 
 
-@dataclasses.dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One typed trace record."""
 
     time_ps: int
@@ -46,6 +44,11 @@ class TraceRecord:
     name: str
     kind: str
     args: Optional[Dict[str, object]] = None
+
+
+#: builds a record from a field tuple in C: the NamedTuple's generated
+#: ``__new__`` would cost one Python frame per record
+_record = tuple.__new__
 
 
 class Tracer:
@@ -56,53 +59,44 @@ class Tracer:
     def __init__(self) -> None:
         self.records: List[TraceRecord] = []
         self._now: Callable[[], int] = lambda: 0
-        self._subscribers: List[Callable[[TraceRecord], None]] = []
 
     # ------------------------------------------------------------- plumbing
     def attach_clock(self, now_fn: Callable[[], int]) -> None:
         """Bind the simulated-time source (the engine does this)."""
         self._now = now_fn
 
-    def subscribe(self, fn: Callable[[TraceRecord], None]) -> None:
-        """Call ``fn(record)`` for every record as it is emitted."""
-        self._subscribers.append(fn)
-
     # ------------------------------------------------------------- emission
-    def _emit(
-        self,
-        category: str,
-        name: str,
-        kind: str,
-        args: Optional[Dict[str, object]],
-    ) -> None:
-        record = TraceRecord(self._now(), category, name, kind, args)
-        self.records.append(record)
-        for fn in self._subscribers:
-            fn(record)
-
     def begin(
         self, category: str, name: str, args: Optional[Dict[str, object]] = None
     ) -> None:
         """Open a span (pair with :meth:`end`, same category and name)."""
-        self._emit(category, name, KIND_BEGIN, args)
+        self.records.append(
+            _record(TraceRecord, (self._now(), category, name, KIND_BEGIN, args))
+        )
 
     def end(
         self, category: str, name: str, args: Optional[Dict[str, object]] = None
     ) -> None:
         """Close the innermost open span of this category/name."""
-        self._emit(category, name, KIND_END, args)
+        self.records.append(
+            _record(TraceRecord, (self._now(), category, name, KIND_END, args))
+        )
 
     def instant(
         self, category: str, name: str, args: Optional[Dict[str, object]] = None
     ) -> None:
         """A zero-duration event."""
-        self._emit(category, name, KIND_INSTANT, args)
+        self.records.append(
+            _record(TraceRecord, (self._now(), category, name, KIND_INSTANT, args))
+        )
 
     def counter(
         self, category: str, name: str, values: Dict[str, object]
     ) -> None:
         """One sample of a named timeseries (``values``: series -> value)."""
-        self._emit(category, name, KIND_COUNTER, values)
+        self.records.append(
+            _record(TraceRecord, (self._now(), category, name, KIND_COUNTER, values))
+        )
 
     @contextlib.contextmanager
     def span(
@@ -125,7 +119,7 @@ class Tracer:
         return len(self.records)
 
     def clear(self) -> None:
-        """Drop all collected records (subscribers stay)."""
+        """Drop all collected records."""
         self.records.clear()
 
 
@@ -139,9 +133,6 @@ class NullTracer:
     records = ()
 
     def attach_clock(self, now_fn: Callable[[], int]) -> None:
-        pass
-
-    def subscribe(self, fn: Callable[[TraceRecord], None]) -> None:
         pass
 
     def begin(self, category, name, args=None) -> None:

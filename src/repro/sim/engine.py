@@ -40,6 +40,7 @@ determinism contract.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
@@ -94,8 +95,10 @@ class Engine:
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.lifecycle = lifecycle if lifecycle is not None else NULL_LIFECYCLE
-        self.tracer.attach_clock(lambda: self._now)
-        self.lifecycle.attach_clock(lambda: self._now)
+        # a C-level clock read: no Python frame per trace record or mark
+        clock = functools.partial(getattr, self, "_now")
+        self.tracer.attach_clock(clock)
+        self.lifecycle.attach_clock(clock)
 
     # ------------------------------------------------------------------ time
     @property

@@ -1,4 +1,4 @@
-"""Tracer record semantics: spans, instants, counters, subscribers."""
+"""Tracer record semantics: spans, instants, counters."""
 
 from repro.obs.tracer import (
     KIND_BEGIN,
@@ -75,24 +75,13 @@ def test_counter_records_values_dict():
     assert rec.args == {"value": 7}
 
 
-def test_subscribers_see_every_record():
+def test_clear_drops_records():
     t = Tracer()
-    seen = []
-    t.subscribe(seen.append)
-    t.instant("network", "inject")
-    t.begin("nic", "x")
-    assert seen == t.records
-
-
-def test_clear_drops_records_keeps_subscribers():
-    t = Tracer()
-    seen = []
-    t.subscribe(seen.append)
     t.instant("nic", "a")
     t.clear()
     assert t.records == []
     t.instant("nic", "b")
-    assert len(seen) == 2 and len(t.records) == 1
+    assert len(t.records) == 1
 
 
 def test_null_tracer_is_inert():
