@@ -48,7 +48,7 @@ def main(out_path: str = "pingpong.trace.json") -> None:
     )
 
     telemetry.write_chrome_trace(out_path)
-    events = len(telemetry.tracer.records)
+    events = len(telemetry.tracer)
     print(f"\nwrote {out_path} ({events} trace records)")
     print("open it at https://ui.perfetto.dev or chrome://tracing")
 

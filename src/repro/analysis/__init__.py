@@ -30,14 +30,12 @@ from repro.analysis.tables import format_rows, format_curve
 from repro.analysis.telemetry import (
     healthy_rows,
     histogram_stats,
-    load_report,
     mean_sampled_depth,
     metric_across_rows,
     metric_value,
     row_findings,
     row_verdict,
     rows_with_finding,
-    unhealthy_rows,
 )
 
 from repro.analysis.attribution import (
@@ -55,7 +53,14 @@ from repro.analysis.attribution import (
 # report's names resolve lazily so `python -m repro.analysis.report` does
 # not re-import the module runpy is about to execute
 _REPORT_NAMES = frozenset(
-    {"fold", "render_html", "render_json", "render_text", "sparkline"}
+    {
+        "fold",
+        "load_report",
+        "render_html",
+        "render_json",
+        "render_text",
+        "sparkline",
+    }
 )
 
 
@@ -89,7 +94,6 @@ __all__ = [
     "metric_across_rows",
     "metric_value",
     "healthy_rows",
-    "unhealthy_rows",
     "row_findings",
     "row_verdict",
     "rows_with_finding",

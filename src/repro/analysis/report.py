@@ -24,9 +24,9 @@ preset with every collector on and reports on that run::
         --param topology=torus3d --param hotspot_rank=0
 
 ``--input`` reads a saved artifact instead: a run report (``--out``
-writes one), one ``--row`` of a sweep telemetry dump, or a bare
-lifecycle dump.  ``--chrome`` writes the per-message tracks of the
-document's lifecycles as a Chrome trace.  Attribution folding happens
+writes one), one ``--row`` of a sweep telemetry dump (row 0 by
+default), or a bare lifecycle dump.  ``--chrome`` writes the
+per-message tracks of the document's lifecycles as a Chrome trace.  Attribution folding happens
 here, at render time: :mod:`repro.obs` stays import-free of
 :mod:`repro.analysis`.
 """
@@ -48,9 +48,9 @@ from repro.analysis.attribution import (
     format_report,
     link_budgets,
 )
-from repro.analysis.telemetry import MAX_DUMP_VERSION
+from repro.obs.chrome import to_chrome, write_chrome_trace
 from repro.obs.health import verdict_of
-from repro.obs.lifecycle import MessageLifecycle, lifecycle_chrome_events
+from repro.obs.lifecycle import MessageLifecycle
 from repro.obs.telemetry import REPORT_VERSION
 from repro.obs.timeline import Timeline
 
@@ -60,21 +60,28 @@ _SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
 _SPARK_WIDTH = 48
 
 
+#: the newest sweep telemetry dump schema :func:`load_report` understands
+MAX_DUMP_VERSION = 3
+
+
 class ReportError(ValueError):
     """A run-report artifact was malformed or unrenderable."""
 
 
 # ------------------------------------------------------------ load / fold
 def load_report(path: str, row: Optional[int] = None) -> Dict[str, object]:
-    """Load any saved artifact as a run-report document.
+    """Load any saved artifact.
 
     Three shapes load:
 
+    * a sweep telemetry dump (:func:`repro.workloads.sweep.
+      dump_telemetry`) -- v1 predates the ``version`` field, which is
+      stamped in place.  Without ``row`` the dump comes back whole, so
+      its ``rows`` feed the row helpers of :mod:`repro.analysis.
+      telemetry`; with ``row``, that row comes back as a run-report
+      document that keeps the row's own ``attribution``;
     * a run report -- v1 (``{"meta", "metrics"}``, no version field) and
       v2 upgrade to the v3 shape with the newer sections empty;
-    * one row (``row``, default 0) of a sweep telemetry dump
-      (:func:`repro.workloads.sweep.dump_telemetry`); the document keeps
-      the row's own ``attribution``;
     * a bare ``{"lifecycles": [...]}`` lifecycle dump.
 
     ``row`` is refused for anything but a sweep dump.
@@ -85,7 +92,13 @@ def load_report(path: str, row: Optional[int] = None) -> Dict[str, object]:
     except (OSError, ValueError) as error:
         raise ReportError(f"cannot read {path}: {error}") from None
     if isinstance(document, dict) and "rows" in document:
-        return _row_document(path, document, 0 if row is None else row)
+        version = document.setdefault("version", 1)
+        if version > MAX_DUMP_VERSION:
+            raise ReportError(
+                f"{path} is a v{version} sweep dump; this tool understands "
+                f"up to v{MAX_DUMP_VERSION}"
+            )
+        return document if row is None else _row_document(path, document, row)
     if not isinstance(document, dict) or not (
         "metrics" in document or "lifecycles" in document
     ):
@@ -115,12 +128,6 @@ def _row_document(
     path: str, dump: Dict[str, object], index: int
 ) -> Dict[str, object]:
     """One sweep-dump row reshaped as a run-report document."""
-    version = dump.get("version", 1)
-    if version > MAX_DUMP_VERSION:
-        raise ReportError(
-            f"{path} is a v{version} sweep dump; this tool understands "
-            f"up to v{MAX_DUMP_VERSION}"
-        )
     rows = dump["rows"]
     if not 0 <= index < len(rows):
         raise ReportError(
@@ -900,8 +907,9 @@ def _chrome_trace(document: Dict[str, object], source: str) -> Dict[str, object]
     lifecycles_obj = document.get("lifecycles")
     if not lifecycles_obj:
         raise ReportError(f"--chrome needs lifecycles; {source} carries none")
-    lifecycles = [MessageLifecycle.from_obj(o) for o in lifecycles_obj]
-    return {"traceEvents": lifecycle_chrome_events(lifecycles)}
+    return to_chrome(
+        lifecycles=[MessageLifecycle.from_obj(o) for o in lifecycles_obj]
+    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -958,6 +966,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.param:
                 raise ReportError("--param sets a live run; drop --input")
             document = load_report(args.input, args.row)
+            if "rows" in document:  # a sweep dump without --row: row 0
+                document = _row_document(args.input, document, 0)
         elif args.row is not None:
             raise ReportError("--row needs --input (a sweep telemetry dump)")
         else:
@@ -972,7 +982,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.out:
         _write(args.out, render_json(folded))
     if trace is not None:
-        _write(args.chrome, json.dumps(trace))
+        write_chrome_trace(args.chrome, trace)
     print(render_json(folded) if args.json else render_text(folded))
     return 0
 

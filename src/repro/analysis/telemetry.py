@@ -1,10 +1,11 @@
-"""Load and query the telemetry reports the sweep runner writes.
+"""Query the telemetry reports the sweep runner writes.
 
 :func:`repro.workloads.sweep.dump_telemetry` serializes sweep rows plus
-their per-run metrics snapshots; these helpers read that JSON back and
-pull out the quantities the analysis layer cares about -- a named metric
-across the sweep, or the mean of a sampled histogram (queue depth, ALPU
-occupancy) per row.
+their per-run metrics snapshots, and :func:`repro.analysis.report.
+load_report` reads that JSON back; these helpers pull out of its
+``rows`` the quantities the analysis layer cares about -- a named metric
+across the sweep, the mean of a sampled histogram (queue depth, ALPU
+occupancy) per row, or the rows with a given watchdog finding.
 
 Snapshot value shapes (see :meth:`repro.obs.MetricsRegistry.snapshot`):
 counters flatten to a number; gauges to ``{"value", "high_water"}``;
@@ -15,39 +16,15 @@ health data, v2 rows also hold ``health`` (``{"verdict", "findings"}``)
 from the watchdog battery, and v3 rows are the generic sweep ``Row``
 (the point's ``params`` dict plus workload ``columns``).  The helpers
 here read only ``metrics``, ``health`` and ``fabric``, which every
-vintage shares; :func:`load_report` stamps v1 in place so the health
-helpers (:func:`row_verdict`, :func:`healthy_rows`,
-:func:`rows_with_finding`) work on any of them.
+vintage shares, so the health helpers (:func:`row_verdict`,
+:func:`healthy_rows`, :func:`rows_with_finding`) work on any of them.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
 from repro.obs.health import has_finding
-
-#: the newest dump schema this loader understands
-MAX_DUMP_VERSION = 3
-
-
-def load_report(path: str) -> Dict[str, object]:
-    """Read a report written by :func:`repro.workloads.sweep.dump_telemetry`.
-
-    Accepts v1 (no ``version`` key, no health), v2 and v3 dumps;
-    anything newer is refused rather than misread.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
-    if not isinstance(report, dict) or "rows" not in report:
-        raise ValueError(f"{path} is not a telemetry report (no 'rows' key)")
-    version = report.setdefault("version", 1)
-    if version > MAX_DUMP_VERSION:
-        raise ValueError(
-            f"{path} is a v{version} telemetry dump; this loader "
-            f"understands up to v{MAX_DUMP_VERSION}"
-        )
-    return report
 
 
 # ----------------------------------------------------------------- health
@@ -70,11 +47,6 @@ def row_findings(row: Dict[str, object]) -> List[Dict[str, object]]:
 def healthy_rows(rows: List[Dict[str, object]]) -> List[Dict[str, object]]:
     """Rows whose watchdogs stayed silent."""
     return [row for row in rows if row_verdict(row) == "healthy"]
-
-
-def unhealthy_rows(rows: List[Dict[str, object]]) -> List[Dict[str, object]]:
-    """Rows with at least one finding, in row order."""
-    return [row for row in rows if row_verdict(row) != "healthy"]
 
 
 def rows_with_finding(

@@ -24,7 +24,6 @@ from repro.network.fabric import Fabric, FabricConfig
 from repro.network.faults import FaultConfig, FaultModel
 from repro.obs.health import RETRANSMIT_WINDOW_PS
 from repro.obs.probe import SamplingProbe
-from repro.obs.tracer import NULL_TRACER
 from repro.nic.host_interface import HOST_NIC_LATENCY_PS
 from repro.nic.nic import Nic, NicConfig
 from repro.proc.costmodel import HostCostModel
@@ -180,7 +179,7 @@ class MpiWorld:
         registry = telemetry.metrics
         probe = SamplingProbe(
             self.engine,
-            tracer=telemetry.tracer if telemetry.tracer is not None else NULL_TRACER,
+            tracer=self.engine.tracer,
             timeline=getattr(telemetry, "timeline", None),
         )
 

@@ -7,16 +7,20 @@ that makes those quantities visible:
 
 * :mod:`repro.obs.metrics` -- a :class:`MetricsRegistry` of named
   counters, gauges and log-scale histograms, plus pull-style collectors;
-* :mod:`repro.obs.tracer` -- typed trace records ``(time_ps, category,
-  name, kind, args)`` with spans, instants and counter samples;
-* :mod:`repro.obs.chrome` -- export to Chrome trace-event JSON, loadable
-  in Perfetto or ``chrome://tracing``;
+* :mod:`repro.obs.stream` -- the run's one :class:`EventStream` of flat
+  ``array`` columns: every trace record and lifecycle mark is a row, not
+  a GC-tracked object; :data:`NULL_SINK` is the one disabled writer;
+* :mod:`repro.obs.tracer` -- the stream's component-record writer:
+  spans, instants and counter samples, read back as typed
+  ``(time_ps, category, name, kind, args)`` records;
+* :mod:`repro.obs.chrome` -- the one Chrome trace-event exporter,
+  loadable in Perfetto or ``chrome://tracing``;
 * :mod:`repro.obs.probe` -- periodic sampling of state quantities (queue
   depths, occupancy) into histograms and counter tracks;
-* :mod:`repro.obs.lifecycle` -- the per-message flight recorder: every
-  MPI message carries an ordered list of ``(time_ps, stage, detail)``
-  transition marks from post to completion, folded into stage-residency
-  budgets by :mod:`repro.analysis.attribution`;
+* :mod:`repro.obs.lifecycle` -- the per-message flight recorder, the
+  stream's other writer: every MPI message reads back as an ordered
+  list of ``(time_ps, stage, detail)`` transition marks from post to
+  completion, folded into budgets by :mod:`repro.analysis.attribution`;
 * :mod:`repro.obs.timeline` -- windowed timeseries over simulated time
   with bounded memory (ring + downsampling): the *trajectory* of every
   probed quantity, not just its end-of-run total;
@@ -26,7 +30,7 @@ that makes those quantities visible:
 * :mod:`repro.obs.telemetry` -- the per-run bundle workloads accept.
 
 Telemetry is opt-in and zero-perturbation: disabled (the default) it
-costs one no-op call per event site, and enabled it never charges
+costs one attribute read per event site, and enabled it never charges
 simulated time, so latencies are bit-identical either way (pinned by
 ``tests/obs/test_zero_perturbation.py``).
 
@@ -36,7 +40,7 @@ host clock: the simulator's own host time is measured from outside, by
 ``perfbench/``.
 """
 
-from repro.obs.chrome import chrome_trace_events, to_chrome, write_chrome_trace
+from repro.obs.chrome import to_chrome, write_chrome_trace
 from repro.obs.health import (
     DerivativeWatchdog,
     HealthFinding,
@@ -55,8 +59,6 @@ from repro.obs.lifecycle import (
     LifecycleMark,
     LifecycleRecorder,
     MessageLifecycle,
-    NullLifecycleRecorder,
-    NULL_LIFECYCLE,
     TERMINAL_STAGE,
 )
 from repro.obs.metrics import (
@@ -69,8 +71,9 @@ from repro.obs.metrics import (
 )
 from repro.obs.probe import DEFAULT_INTERVAL_PS, SamplingProbe
 from repro.obs.telemetry import REPORT_VERSION, Telemetry
+from repro.obs.stream import EventStream, NULL_SINK
 from repro.obs.timeline import Series, Timeline
-from repro.obs.tracer import NullTracer, NULL_TRACER, Tracer, TraceRecord
+from repro.obs.tracer import Tracer, TraceRecord
 
 __all__ = [
     "DerivativeWatchdog",
@@ -91,8 +94,6 @@ __all__ = [
     "LifecycleMark",
     "LifecycleRecorder",
     "MessageLifecycle",
-    "NullLifecycleRecorder",
-    "NULL_LIFECYCLE",
     "TERMINAL_STAGE",
     "Counter",
     "Gauge",
@@ -102,12 +103,11 @@ __all__ = [
     "NULL_REGISTRY",
     "Tracer",
     "TraceRecord",
-    "NullTracer",
-    "NULL_TRACER",
+    "EventStream",
+    "NULL_SINK",
     "SamplingProbe",
     "DEFAULT_INTERVAL_PS",
     "Telemetry",
-    "chrome_trace_events",
     "to_chrome",
     "write_chrome_trace",
 ]

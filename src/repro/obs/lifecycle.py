@@ -20,8 +20,9 @@ budgets; nothing downstream needs to re-derive timing.
 
 Zero perturbation, same contract as the rest of :mod:`repro.obs`:
 
-* recording is opt-in; the engine carries :data:`NULL_LIFECYCLE` (all
-  methods no-ops, ``enabled`` False) unless a real recorder is attached;
+* recording is opt-in; the engine carries
+  :data:`~repro.obs.stream.NULL_SINK` (all methods no-ops, ``enabled``
+  False) unless a real recorder is attached;
 * every mark is a plain function call -- recorders never ``yield``,
   never schedule events and never charge simulated time, so latencies
   are bit-identical either way (pinned by
@@ -45,28 +46,26 @@ Identity and correlation:
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from array import array
+from typing import Callable, Dict, List, NamedTuple, Optional
+
+from repro.obs.stream import LIFECYCLE_CATEGORY, MARK, EventStream
 
 #: the one terminal stage; a complete lifecycle ends with exactly one
 TERMINAL_STAGE = "complete"
 
 
 class LifecycleMark(NamedTuple):
-    """One typed stage transition."""
+    """One typed stage transition (a row of a lifecycle's ``marks``)."""
 
     time_ps: int
     stage: str
     detail: Optional[Dict[str, object]] = None
 
 
-#: builds a mark from a field tuple in C: the NamedTuple's generated
-#: ``__new__`` would cost one Python frame per mark
-_new_mark = tuple.__new__
-
-
 @dataclasses.dataclass
 class MessageLifecycle:
-    """The recorded journey of one request / message."""
+    """The recorded journey of one request / message (a read view)."""
 
     #: monotone recorder-local id (stable across identical runs)
     mid: int
@@ -140,7 +139,10 @@ class MessageLifecycle:
 
 
 class LifecycleRecorder:
-    """Collects :class:`MessageLifecycle` objects (see module docstring).
+    """Writes lifecycle marks into ``stream`` (a fresh one if omitted).
+
+    It maps requests and uids to a lifecycle id ``mid`` and keeps each
+    lifecycle's header in columns; the marks are rows owned by ``mid``.
 
     Mark methods take an optional explicit ``time_ps``; without one they
     read the clock the engine attaches -- exactly the tracer's pattern.
@@ -153,15 +155,27 @@ class LifecycleRecorder:
 
     enabled = True
 
-    def __init__(self) -> None:
+    def __init__(self, stream: Optional[EventStream] = None) -> None:
+        self.stream = stream if stream is not None else EventStream()
         self._now: Callable[[], int] = lambda: 0
-        self._mids = 0
-        self.lifecycles: List[MessageLifecycle] = []
-        self._by_key: Dict[Tuple[str, int, int], MessageLifecycle] = {}
-        self._by_uid: Dict[int, MessageLifecycle] = {}
-        #: (rank, req_id) of a receive -> messages whose terminal mark is
-        #: that receive's completion
-        self._watchers: Dict[Tuple[int, int], List[MessageLifecycle]] = {}
+        ids = self.stream.ids
+        self._terminal = ids.setdefault(TERMINAL_STAGE, len(ids))
+        # per-lifecycle columns, indexed by mid - 1; ``_last`` is the
+        # stream row of the lifecycle's last mark
+        self._kinds: List[str] = []
+        self._ranks = array("q")
+        self._req_ids = array("q")
+        self._last = array("q")
+        self._labels: Dict[int, str] = {}
+        self._meta: Dict[int, Dict[str, object]] = {}
+        #: mid -> sender-side completion time of a send
+        self._sender_done: Dict[int, int] = {}
+        #: :func:`_request_key` -> mid, and packet uid -> mid
+        self._by_request: Dict[int, int] = {}
+        self._by_uid: Dict[int, int] = {}
+        #: request key of a receive -> mids whose terminal mark is that
+        #: receive's completion
+        self._watchers: Dict[int, List[int]] = {}
         #: backend-side facts captured mid-search (ALPU occupancy, hash
         #: probe counts) and merged into the search mark afterwards
         self._search_notes: Dict[str, object] = {}
@@ -173,20 +187,21 @@ class LifecycleRecorder:
 
     def _mark(
         self,
-        lifecycle: MessageLifecycle,
+        mid: int,
         stage: str,
         time_ps: Optional[int],
         detail: Optional[Dict[str, object]],
     ) -> None:
-        marks = lifecycle.marks
-        if marks and marks[-1].stage == TERMINAL_STAGE:
+        stream = self.stream
+        if stream.name[self._last[mid - 1]] == self._terminal:
             # the message's journey has ended; late wire echoes (e.g. a
             # retransmission fired because the *ACK* was lost after the
             # payload completed) must not un-complete the record
             return
+        self._last[mid - 1] = len(stream)
         if time_ps is None:
             time_ps = self._now()
-        marks.append(_new_mark(LifecycleMark, (time_ps, stage, detail)))
+        stream.record(time_ps, MARK, LIFECYCLE_CATEGORY, stage, mid, detail)
 
     # ------------------------------------------------------ request keyed
     def begin(
@@ -197,26 +212,27 @@ class LifecycleRecorder:
         time_ps: Optional[int] = None,
         detail: Optional[Dict[str, object]] = None,
         stage: str = "api_post",
-    ) -> MessageLifecycle:
+    ) -> None:
         """Open a lifecycle with its first mark."""
-        self._mids += 1
-        lifecycle = MessageLifecycle(
-            mid=self._mids, kind=kind, rank=rank, req_id=req_id
-        )
-        self.lifecycles.append(lifecycle)
-        self._by_key[(kind, rank, req_id)] = lifecycle
-        self._mark(lifecycle, stage, time_ps, detail)
-        return lifecycle
+        stream = self.stream
+        self._kinds.append(kind)
+        self._ranks.append(rank)
+        self._req_ids.append(req_id)
+        self._last.append(len(stream))
+        mid = len(self._kinds)
+        self._by_request[_request_key(rank, req_id)] = mid
+        if time_ps is None:
+            time_ps = self._now()
+        stream.record(time_ps, MARK, LIFECYCLE_CATEGORY, stage, mid, detail)
 
-    def _request(self, rank: int, req_id: int) -> Optional[MessageLifecycle]:
+    def _request(self, rank: int, req_id: int, kind: Optional[str] = None):
         # a (rank, req_id) pair names at most one lifecycle: MPI request
         # ids come from one per-process counter shared across sends and
         # receives
-        for kind in ("send", "recv"):
-            lifecycle = self._by_key.get((kind, rank, req_id))
-            if lifecycle is not None:
-                return lifecycle
-        return None
+        mid = self._by_request.get(_request_key(rank, req_id))
+        if mid is None or (kind is not None and self._kinds[mid - 1] != kind):
+            return None
+        return mid
 
     def mark_request(
         self,
@@ -227,24 +243,24 @@ class LifecycleRecorder:
         detail: Optional[Dict[str, object]] = None,
     ) -> None:
         """Append a stage transition to a request's lifecycle."""
-        lifecycle = self._request(rank, req_id)
-        if lifecycle is not None:
-            self._mark(lifecycle, stage, time_ps, detail)
+        mid = self._request(rank, req_id)
+        if mid is not None:
+            self._mark(mid, stage, time_ps, detail)
 
     def annotate_request(self, rank: int, req_id: int, **facts: object) -> None:
         """Merge facts into the *detail* of a request's last mark."""
-        lifecycle = self._request(rank, req_id)
-        if lifecycle is not None and lifecycle.marks:
-            self._annotate_last(lifecycle, facts)
+        mid = self._request(rank, req_id)
+        if mid is not None:
+            self._annotate_last(mid, facts)
 
     def label_request(
         self, rank: int, req_id: int, label: str, **meta: object
     ) -> None:
         """Workloads tag roles here ("ping", iteration, timed...)."""
-        lifecycle = self._request(rank, req_id)
-        if lifecycle is not None:
-            lifecycle.label = label
-            lifecycle.meta.update(meta)
+        mid = self._request(rank, req_id)
+        if mid is not None:
+            self._labels[mid] = label
+            self._meta.setdefault(mid, {}).update(meta)
 
     def complete_request(
         self,
@@ -262,33 +278,31 @@ class LifecycleRecorder:
         completing on the sender side may race the receiver-side journey,
         so it is recorded as an annotation, never a mark.
         """
+        t = self._now() if time_ps is None else time_ps
         if recv:
-            t = self._now() if time_ps is None else time_ps
-            lifecycle = self._by_key.get(("recv", rank, req_id))
-            if lifecycle is not None:
-                self._mark(lifecycle, TERMINAL_STAGE, t, None)
-            for watcher in self._watchers.pop((rank, req_id), ()):
+            mid = self._request(rank, req_id, "recv")
+            if mid is not None:
+                self._mark(mid, TERMINAL_STAGE, t, None)
+            for watcher in self._watchers.pop(_request_key(rank, req_id), ()):
                 self._mark(watcher, TERMINAL_STAGE, t, None)
         else:
-            lifecycle = self._by_key.get(("send", rank, req_id))
-            if lifecycle is not None:
-                lifecycle.annotations["sender_completed_at_ps"] = (
-                    self._now() if time_ps is None else time_ps
-                )
+            mid = self._request(rank, req_id, "send")
+            if mid is not None:
+                self._sender_done[mid] = t
 
     # --------------------------------------------------------- uid keyed
     def bind_uid(self, rank: int, req_id: int, uid: int) -> None:
         """Bind a send queue entry's uid to the send's lifecycle."""
-        lifecycle = self._by_key.get(("send", rank, req_id))
-        if lifecycle is not None:
-            self._by_uid[uid] = lifecycle
+        mid = self._request(rank, req_id, "send")
+        if mid is not None:
+            self._by_uid[uid] = mid
 
     def alias_uid(self, uid: int, to_uid: int) -> None:
         """Make ``uid`` (a receive-side entry) resolve to the message of
         ``to_uid`` -- the delivery path only sees the receive entry."""
-        lifecycle = self._by_uid.get(to_uid)
-        if lifecycle is not None:
-            self._by_uid[uid] = lifecycle
+        mid = self._by_uid.get(to_uid)
+        if mid is not None:
+            self._by_uid[uid] = mid
 
     def mark_uid(
         self,
@@ -302,15 +316,15 @@ class LifecycleRecorder:
         Unknown uids are ignored: component-level users (a bare Fabric,
         a NIC driven outside an MpiWorld) emit marks nothing listens to.
         """
-        lifecycle = self._by_uid.get(uid)
-        if lifecycle is not None:
-            self._mark(lifecycle, stage, time_ps, detail)
+        mid = self._by_uid.get(uid)
+        if mid is not None:
+            self._mark(mid, stage, time_ps, detail)
 
     def annotate_uid(self, uid: int, **facts: object) -> None:
         """Merge facts into the detail of the bound message's last mark."""
-        lifecycle = self._by_uid.get(uid)
-        if lifecycle is not None and lifecycle.marks:
-            self._annotate_last(lifecycle, facts)
+        mid = self._by_uid.get(uid)
+        if mid is not None:
+            self._annotate_last(mid, facts)
 
     def mark_uid_clamped(
         self,
@@ -329,18 +343,16 @@ class LifecycleRecorder:
         last mark time keeps every lifecycle monotone without perturbing
         the telescoping sums (bounding marks are never clamped forward).
         """
-        lifecycle = self._by_uid.get(uid)
-        if lifecycle is None:
-            return
-        if lifecycle.marks and time_ps < lifecycle.marks[-1].time_ps:
-            time_ps = lifecycle.marks[-1].time_ps
-        self._mark(lifecycle, stage, time_ps, detail)
+        mid = self._by_uid.get(uid)
+        if mid is not None:
+            last_ps = self.stream.time_ps[self._last[mid - 1]]
+            self._mark(mid, stage, max(time_ps, last_ps), detail)
 
     def watch_completion(self, rank: int, req_id: int, uid: int) -> None:
         """Terminal-mark ``uid``'s message when this receive completes."""
-        lifecycle = self._by_uid.get(uid)
-        if lifecycle is not None:
-            self._watchers.setdefault((rank, req_id), []).append(lifecycle)
+        mid = self._by_uid.get(uid)
+        if mid is not None:
+            self._watchers.setdefault(_request_key(rank, req_id), []).append(mid)
 
     # ------------------------------------------------------- search notes
     def search_note(self, **facts: object) -> None:
@@ -352,147 +364,59 @@ class LifecycleRecorder:
         notes, self._search_notes = self._search_notes, {}
         return notes
 
-    def _annotate_last(
-        self, lifecycle: MessageLifecycle, facts: Dict[str, object]
-    ) -> None:
-        last = lifecycle.marks[-1]
-        detail = dict(last.detail) if last.detail else {}
+    def _annotate_last(self, mid: int, facts: Dict[str, object]) -> None:
+        # a merged copy: a caller's dict may also be another record's
+        stream = self.stream
+        row = self._last[mid - 1]
+        slot = int(stream.arg[row])
+        detail = dict(stream.payloads[slot]) if slot >= 0 else {}
         detail.update(facts)
-        lifecycle.marks[-1] = last._replace(detail=detail)
+        if slot >= 0:
+            stream.payloads[slot] = detail
+        else:
+            stream.arg[row] = len(stream.payloads)
+            stream.payloads.append(detail)
 
     # -------------------------------------------------------------- output
+    @property
+    def lifecycles(self) -> List[MessageLifecycle]:
+        """Every lifecycle in ``mid`` order, rebuilt from the stream."""
+        lifecycles = [
+            MessageLifecycle(
+                mid=mid,
+                kind=kind,
+                rank=rank,
+                req_id=req_id,
+                label=self._labels.get(mid),
+                meta=dict(self._meta.get(mid, ())),
+            )
+            for mid, kind, rank, req_id in zip(
+                range(1, len(self) + 1), self._kinds, self._ranks, self._req_ids
+            )
+        ]
+        for mid, done_ps in self._sender_done.items():
+            lifecycles[mid - 1].annotations["sender_completed_at_ps"] = done_ps
+        stream = self.stream
+        strings = list(stream.ids)
+        payloads = stream.payloads
+        for time_ps, name, mid, arg in zip(
+            stream.time_ps, stream.name, stream.mid, stream.arg
+        ):
+            if mid >= 0:
+                detail = payloads[int(arg)] if arg >= 0 else None
+                lifecycles[mid - 1].marks.append(
+                    LifecycleMark(time_ps, strings[name], detail)
+                )
+        return lifecycles
+
     def __len__(self) -> int:
-        return len(self.lifecycles)
+        return len(self._kinds)
 
     def to_obj(self) -> Dict[str, object]:
         """JSON-serializable dump of every lifecycle."""
-        return {
-            "lifecycles": [lc.to_obj() for lc in self.lifecycles],
-        }
-
-    def chrome_events(self) -> List[Dict[str, object]]:
-        """Chrome trace events with one track (tid) per message.
-
-        Each stage renders as a B/E pair spanning its residency; the
-        terminal stage closes the last span.  Loadable in Perfetto next
-        to (or instead of) the component-level trace.
-        """
-        return lifecycle_chrome_events(self.lifecycles)
+        return {"lifecycles": [lc.to_obj() for lc in self.lifecycles]}
 
 
-#: Chrome export: lifecycles render in their own "process"
-LIFECYCLE_PID = 2
-
-
-def lifecycle_chrome_events(lifecycles) -> List[Dict[str, object]]:
-    """Per-message-track Chrome events for an iterable of lifecycles."""
-    events: List[Dict[str, object]] = []
-    for tid, lifecycle in enumerate(lifecycles, start=1):
-        label = lifecycle.label or lifecycle.kind
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": LIFECYCLE_PID,
-                "tid": tid,
-                "args": {
-                    "name": (
-                        f"{label} r{lifecycle.rank}#{lifecycle.req_id} "
-                        f"({lifecycle.kind})"
-                    )
-                },
-            }
-        )
-        marks = lifecycle.marks
-        for index, mark in enumerate(marks):
-            if mark.stage == TERMINAL_STAGE:
-                continue
-            end = marks[index + 1].time_ps if index + 1 < len(marks) else None
-            event = {
-                "name": mark.stage,
-                "cat": "lifecycle",
-                "ph": "B",
-                "ts": mark.time_ps / 1_000_000,
-                "pid": LIFECYCLE_PID,
-                "tid": tid,
-            }
-            if mark.detail:
-                event["args"] = dict(mark.detail)
-            events.append(event)
-            if end is not None:
-                events.append(
-                    {
-                        "name": mark.stage,
-                        "cat": "lifecycle",
-                        "ph": "E",
-                        "ts": end / 1_000_000,
-                        "pid": LIFECYCLE_PID,
-                        "tid": tid,
-                    }
-                )
-    return events
-
-
-class NullLifecycleRecorder:
-    """The disabled recorder: every method is a no-op.
-
-    ``lifecycles`` is an immutable empty tuple so accidental reads are
-    safe; hot paths guard on :attr:`enabled` before building details.
-    """
-
-    enabled = False
-    lifecycles = ()
-
-    def attach_clock(self, now_fn) -> None:
-        pass
-
-    def begin(self, kind, rank, req_id, time_ps=None, detail=None, stage="api_post"):
-        return None
-
-    def mark_request(self, rank, req_id, stage, time_ps=None, detail=None) -> None:
-        pass
-
-    def annotate_request(self, rank, req_id, **facts) -> None:
-        pass
-
-    def label_request(self, rank, req_id, label, **meta) -> None:
-        pass
-
-    def complete_request(self, rank, req_id, time_ps=None, *, recv) -> None:
-        pass
-
-    def bind_uid(self, rank, req_id, uid) -> None:
-        pass
-
-    def alias_uid(self, uid, to_uid) -> None:
-        pass
-
-    def mark_uid(self, uid, stage, time_ps=None, detail=None) -> None:
-        pass
-
-    def annotate_uid(self, uid, **facts) -> None:
-        pass
-
-    def mark_uid_clamped(self, uid, stage, time_ps, detail=None) -> None:
-        pass
-
-    def watch_completion(self, rank, req_id, uid) -> None:
-        pass
-
-    def search_note(self, **facts) -> None:
-        pass
-
-    def pop_search_notes(self):
-        return {}
-
-    def __len__(self) -> int:
-        return 0
-
-    def to_obj(self):
-        return {"lifecycles": []}
-
-    def chrome_events(self):
-        return []
-
-
-NULL_LIFECYCLE = NullLifecycleRecorder()
+def _request_key(rank: int, req_id: int) -> int:
+    """``(rank, req_id)`` as one int: no tuple per lookup."""
+    return req_id << 32 | rank

@@ -24,24 +24,11 @@ from typing import Callable, List, Optional
 
 from repro.obs.metrics import Histogram
 from repro.obs.timeline import Timeline
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.stream import NULL_SINK
 
 #: default sampling period: 1 us of simulated time (fine enough to catch
 #: per-iteration queue churn in the Section V-A benchmarks)
 DEFAULT_INTERVAL_PS = 1_000_000
-
-
-class _Sampler:
-    """One registered quantity and its sinks."""
-
-    __slots__ = ("category", "name", "fn", "histogram", "series")
-
-    def __init__(self, category, name, fn, histogram, series):
-        self.category = category
-        self.name = name
-        self.fn = fn
-        self.histogram = histogram
-        self.series = series
 
 
 class SamplingProbe:
@@ -51,7 +38,7 @@ class SamplingProbe:
         self,
         engine,
         interval_ps: int = DEFAULT_INTERVAL_PS,
-        tracer=NULL_TRACER,
+        tracer=NULL_SINK,
         timeline: Optional[Timeline] = None,
     ) -> None:
         if interval_ps <= 0:
@@ -61,7 +48,8 @@ class SamplingProbe:
         self.tracer = tracer
         self.timeline = timeline
         self.ticks = 0
-        self._samplers: List[_Sampler] = []
+        #: (category, name, fn, histogram, series) per registered quantity
+        self._samplers: List[tuple] = []
         self._started = False
 
     def add(
@@ -89,9 +77,7 @@ class SamplingProbe:
             timeline_series = self.timeline.series(
                 series, mode=mode, window_ps=window_ps
             )
-        self._samplers.append(
-            _Sampler(category, name, fn, histogram, timeline_series)
-        )
+        self._samplers.append((category, name, fn, histogram, timeline_series))
 
     def start(self) -> None:
         """Schedule the first tick (idempotent)."""
@@ -105,14 +91,12 @@ class SamplingProbe:
         now_ps = self.ticks * self.interval_ps
         tracer = self.tracer
         counter = tracer.counter if tracer.enabled else None
-        for sampler in self._samplers:
-            value = sampler.fn()
-            histogram = sampler.histogram
+        for category, name, fn, histogram, series in self._samplers:
+            value = fn()
             if histogram is not None:
                 histogram.record(value)
-            series = sampler.series
             if series is not None:
                 series.observe(now_ps, value)
             if counter is not None:
-                counter(sampler.category, sampler.name, {"value": value})
+                counter(category, name, value)
         self.engine.schedule(self.interval_ps, self._tick)

@@ -1,7 +1,9 @@
 """The per-run telemetry bundle.
 
-One :class:`Telemetry` object packages a fresh metrics registry and a
-fresh tracer, ready to hand to a world or a workload:
+One :class:`Telemetry` object packages a fresh metrics registry, one
+:class:`~repro.obs.stream.EventStream` and its writers -- the tracer and
+(opt-in) the lifecycle recorder -- ready to hand to a world or a
+workload:
 
     telemetry = Telemetry()
     result = run_pingpong(NicConfig.with_alpu(256, 16), telemetry=telemetry)
@@ -22,13 +24,13 @@ creates one per point for exactly this reason.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
-from repro.obs.chrome import to_chrome
+from repro.obs.chrome import to_chrome, write_chrome_trace
 from repro.obs.health import HealthFinding, HealthMonitor
 from repro.obs.lifecycle import LifecycleRecorder
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.stream import EventStream
 from repro.obs.timeline import Timeline
 from repro.obs.tracer import Tracer
 
@@ -52,9 +54,12 @@ class Telemetry:
         fabric: bool = False,
     ) -> None:
         self.metrics = MetricsRegistry() if metrics else None
-        self.tracer = Tracer() if tracing else None
+        #: the run's one record stream; the tracer and the lifecycle
+        #: recorder are its writers
+        self.stream = EventStream()
+        self.tracer = Tracer(self.stream) if tracing else None
         #: per-message flight recorder (opt-in; see repro.obs.lifecycle)
-        self.lifecycle = LifecycleRecorder() if lifecycle else None
+        self.lifecycle = LifecycleRecorder(self.stream) if lifecycle else None
         #: windowed timeseries the sampling probe feeds (opt-in)
         self.timeline = Timeline() if timeline else None
         #: health watchdog battery evaluated at end of run (opt-in);
@@ -97,15 +102,14 @@ class Telemetry:
         in the same document (a second "process" next to the component
         tracks).
         """
-        records = self.tracer.records if self.tracer is not None else ()
-        document = to_chrome(records)
-        if self.lifecycle is not None:
-            document["traceEvents"].extend(self.lifecycle.chrome_events())
-        return document
+        return to_chrome(
+            self.tracer.records if self.tracer is not None else (),
+            self.lifecycles(),
+        )
 
     def lifecycles(self) -> list:
         """The recorded lifecycles ([] when the recorder is off)."""
-        return list(self.lifecycle.lifecycles) if self.lifecycle else []
+        return self.lifecycle.lifecycles if self.lifecycle is not None else []
 
     def health_findings(self) -> List[HealthFinding]:
         """Evaluate (once) and return the watchdog findings.
@@ -127,11 +131,7 @@ class Telemetry:
 
     def write_chrome_trace(self, path) -> dict:
         """Write the Chrome trace JSON (incl. lifecycle tracks) to ``path``."""
-        document = self.chrome_trace()
-        with open(path, "w") as handle:
-            json.dump(document, handle, indent=1)
-            handle.write("\n")
-        return document
+        return write_chrome_trace(path, self.chrome_trace())
 
     def report(self, **meta) -> dict:
         """The unified, JSON-serializable run report (schema v3).

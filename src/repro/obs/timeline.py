@@ -45,8 +45,12 @@ DEFAULT_WINDOW_PS = 1_000_000
 #: run before the first downsample, and memory stays O(1) regardless
 DEFAULT_MAX_WINDOWS = 256
 
-#: window tuple slots (a list per window, mutated in place)
-_IDX, _COUNT, _SUM, _MIN, _MAX, _FIRST, _LAST = range(7)
+#: values per window; a series keeps its windows back to back in one flat
+#: list of numbers, so a window is no GC-tracked object
+_WIDTH = 7
+#: window slots, counted from the window's end: the same constant indexes
+#: a one-window row and the last window of the flat list
+_IDX, _COUNT, _SUM, _MIN, _MAX, _FIRST, _LAST = range(-_WIDTH, 0)
 
 #: the statistics :meth:`Series.points` can extract per window
 STATS = ("last", "first", "min", "max", "mean", "sum", "count", "delta")
@@ -55,7 +59,7 @@ STATS = ("last", "first", "min", "max", "mean", "sum", "count", "delta")
 class Series:
     """One named quantity folded into fixed simulated-time windows."""
 
-    __slots__ = ("name", "mode", "window_ps", "max_windows", "_windows")
+    __slots__ = ("name", "mode", "window_ps", "max_windows", "_flat")
 
     def __init__(
         self,
@@ -75,12 +79,18 @@ class Series:
         self.mode = mode
         self.window_ps = window_ps
         self.max_windows = max_windows
-        #: windows in ascending index order; observation times are
-        #: monotone (the engine clock), so appends suffice
-        self._windows: List[list] = []
+        #: windows in ascending index order, ``_WIDTH`` values each;
+        #: observation times are monotone (the engine clock), so appends
+        #: suffice
+        self._flat: List[float] = []
 
     def __len__(self) -> int:
-        return len(self._windows)
+        return len(self._flat) // _WIDTH
+
+    def _windows(self) -> List[list]:
+        """One ``_WIDTH``-value row per window, ascending."""
+        flat = self._flat
+        return [flat[start:start + _WIDTH] for start in range(0, len(flat), _WIDTH)]
 
     # ------------------------------------------------------------ recording
     def observe(self, time_ps: int, value: float) -> None:
@@ -91,41 +101,35 @@ class Series:
         opens window ``k`` (windows are ``[k*w, (k+1)*w)``).
         """
         index = time_ps // self.window_ps
-        windows = self._windows
-        if windows and windows[-1][_IDX] == index:
-            window = windows[-1]
-            window[_COUNT] += 1
-            window[_SUM] += value
-            if value < window[_MIN]:
-                window[_MIN] = value
-            if value > window[_MAX]:
-                window[_MAX] = value
-            window[_LAST] = value
+        flat = self._flat
+        if flat and flat[_IDX] == index:
+            flat[_COUNT] += 1
+            flat[_SUM] += value
+            if value < flat[_MIN]:
+                flat[_MIN] = value
+            if value > flat[_MAX]:
+                flat[_MAX] = value
+            flat[_LAST] = value
         else:
-            windows.append([index, 1, value, value, value, value, value])
-            if len(windows) > self.max_windows:
+            flat.extend((index, 1, value, value, value, value, value))
+            if len(flat) > self.max_windows * _WIDTH:
                 self._downsample()
 
     def _downsample(self) -> None:
         """Double the window width; merge adjacent index pairs."""
         self.window_ps *= 2
-        merged: List[list] = []
-        for window in self._windows:
-            index = window[_IDX] // 2
-            if merged and merged[-1][_IDX] == index:
-                target = merged[-1]
-                target[_COUNT] += window[_COUNT]
-                target[_SUM] += window[_SUM]
-                if window[_MIN] < target[_MIN]:
-                    target[_MIN] = window[_MIN]
-                if window[_MAX] > target[_MAX]:
-                    target[_MAX] = window[_MAX]
-                target[_LAST] = window[_LAST]
+        merged: List[float] = []
+        for window in self._windows():
+            window[_IDX] //= 2
+            if merged and merged[_IDX] == window[_IDX]:
+                merged[_COUNT] += window[_COUNT]
+                merged[_SUM] += window[_SUM]
+                merged[_MIN] = min(merged[_MIN], window[_MIN])
+                merged[_MAX] = max(merged[_MAX], window[_MAX])
+                merged[_LAST] = window[_LAST]
             else:
-                merged.append(
-                    [index] + window[1:]  # reindexed copy, stats intact
-                )
-        self._windows = merged
+                merged.extend(window)
+        self._flat = merged
 
     # -------------------------------------------------------------- reading
     def points(self, stat: str = "last") -> List[Tuple[int, float]]:
@@ -140,7 +144,7 @@ class Series:
             raise ValueError(f"unknown stat {stat!r}; expected one of {STATS}")
         out: List[Tuple[int, float]] = []
         previous_last: Optional[float] = None
-        for window in self._windows:
+        for window in self._windows():
             start_ps = window[_IDX] * self.window_ps
             if stat == "delta":
                 base = window[_FIRST] if previous_last is None else previous_last
@@ -170,10 +174,11 @@ class Series:
 
     def span_ps(self) -> int:
         """Simulated time covered, first window start to last window end."""
-        if not self._windows:
+        flat = self._flat
+        if not flat:
             return 0
-        first = self._windows[0][_IDX] * self.window_ps
-        last = (self._windows[-1][_IDX] + 1) * self.window_ps
+        first = flat[_IDX + _WIDTH] * self.window_ps
+        last = (flat[_IDX] + 1) * self.window_ps
         return last - first
 
     # -------------------------------------------------------- serialization
@@ -182,7 +187,7 @@ class Series:
         return {
             "mode": self.mode,
             "window_ps": self.window_ps,
-            "windows": [list(window) for window in self._windows],
+            "windows": self._windows(),
         }
 
     @staticmethod
@@ -191,7 +196,7 @@ class Series:
         series = Series(
             name, mode=obj["mode"], window_ps=obj["window_ps"]
         )
-        series._windows = [list(window) for window in obj["windows"]]
+        series._flat = [value for window in obj["windows"] for value in window]
         return series
 
 

@@ -1,7 +1,8 @@
 """Structured simulation tracing.
 
-A :class:`Tracer` collects typed records ``(time_ps, category, name,
-kind, args)`` from instrumented components.  Three record shapes cover
+A :class:`Tracer` writes typed component records ``(time_ps, category,
+name, kind, args)`` from instrumented components into an
+:class:`~repro.obs.stream.EventStream`.  Three record shapes cover
 everything the evaluation needs:
 
 * **spans** (``begin``/``end`` pairs, or the :meth:`Tracer.span` context
@@ -20,7 +21,8 @@ Categories are coarse (``"alpu"``, ``"nic"``, ``"network"``, ``"memory"``,
 Chrome exporter (:mod:`repro.obs.chrome`) maps categories to tracks.
 
 Hot paths guard on :attr:`Tracer.enabled` before building ``args`` dicts,
-so the disabled default (:data:`NULL_TRACER`) costs one attribute read.
+so the disabled default (:data:`~repro.obs.stream.NULL_SINK`) costs one
+attribute read.
 """
 
 from __future__ import annotations
@@ -28,16 +30,21 @@ from __future__ import annotations
 import contextlib
 from typing import Callable, Dict, List, NamedTuple, Optional
 
+from repro.obs.stream import BEGIN, COUNTER, END, INSTANT, REAL_COUNTER, EventStream
 
-#: record kinds, mirroring the Chrome trace-event phases they export to
+#: record kinds of the :attr:`Tracer.records` view, mirroring the Chrome
+#: trace-event phases they export to
 KIND_BEGIN = "begin"
 KIND_END = "end"
 KIND_INSTANT = "instant"
 KIND_COUNTER = "counter"
 
+#: the view's kind, indexed by the stream's kind code
+_KIND_NAMES = (KIND_BEGIN, KIND_END, KIND_INSTANT, KIND_COUNTER, KIND_COUNTER)
+
 
 class TraceRecord(NamedTuple):
-    """One typed trace record."""
+    """One typed trace record (a row of the :attr:`Tracer.records` view)."""
 
     time_ps: int
     category: str
@@ -46,18 +53,13 @@ class TraceRecord(NamedTuple):
     args: Optional[Dict[str, object]] = None
 
 
-#: builds a record from a field tuple in C: the NamedTuple's generated
-#: ``__new__`` would cost one Python frame per record
-_record = tuple.__new__
-
-
 class Tracer:
-    """Collects :class:`TraceRecord` objects in emission order."""
+    """Writes component records into ``stream`` (a fresh one if omitted)."""
 
     enabled = True
 
-    def __init__(self) -> None:
-        self.records: List[TraceRecord] = []
+    def __init__(self, stream: Optional[EventStream] = None) -> None:
+        self.stream = stream if stream is not None else EventStream()
         self._now: Callable[[], int] = lambda: 0
 
     # ------------------------------------------------------------- plumbing
@@ -70,33 +72,23 @@ class Tracer:
         self, category: str, name: str, args: Optional[Dict[str, object]] = None
     ) -> None:
         """Open a span (pair with :meth:`end`, same category and name)."""
-        self.records.append(
-            _record(TraceRecord, (self._now(), category, name, KIND_BEGIN, args))
-        )
+        self.stream.record(self._now(), BEGIN, category, name, -1, args)
 
     def end(
         self, category: str, name: str, args: Optional[Dict[str, object]] = None
     ) -> None:
         """Close the innermost open span of this category/name."""
-        self.records.append(
-            _record(TraceRecord, (self._now(), category, name, KIND_END, args))
-        )
+        self.stream.record(self._now(), END, category, name, -1, args)
 
     def instant(
         self, category: str, name: str, args: Optional[Dict[str, object]] = None
     ) -> None:
         """A zero-duration event."""
-        self.records.append(
-            _record(TraceRecord, (self._now(), category, name, KIND_INSTANT, args))
-        )
+        self.stream.record(self._now(), INSTANT, category, name, -1, args)
 
-    def counter(
-        self, category: str, name: str, values: Dict[str, object]
-    ) -> None:
-        """One sample of a named timeseries (``values``: series -> value)."""
-        self.records.append(
-            _record(TraceRecord, (self._now(), category, name, KIND_COUNTER, values))
-        )
+    def counter(self, category: str, name: str, value) -> None:
+        """One sample of a named timeseries (exported as ``{"value": v}``)."""
+        self.stream.sample(self._now(), category, name, value)
 
     @contextlib.contextmanager
     def span(
@@ -115,47 +107,30 @@ class Tracer:
             self.end(category, name)
 
     # -------------------------------------------------------------- queries
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def clear(self) -> None:
-        """Drop all collected records."""
-        self.records.clear()
-
-
-class NullTracer:
-    """The disabled tracer: every method is a no-op.
-
-    ``records`` is an immutable empty tuple so accidental reads are safe.
-    """
-
-    enabled = False
-    records = ()
-
-    def attach_clock(self, now_fn: Callable[[], int]) -> None:
-        pass
-
-    def begin(self, category, name, args=None) -> None:
-        pass
-
-    def end(self, category, name, args=None) -> None:
-        pass
-
-    def instant(self, category, name, args=None) -> None:
-        pass
-
-    def counter(self, category, name, values) -> None:
-        pass
-
-    @contextlib.contextmanager
-    def span(self, category, name, args=None):
-        yield self
+    @property
+    def records(self) -> List[TraceRecord]:
+        """The component records, rebuilt from the stream in order."""
+        stream = self.stream
+        strings = list(stream.ids)
+        payloads = stream.payloads
+        records = []
+        for time_ps, kind, category, name, mid, arg in zip(
+            stream.time_ps, stream.kind, stream.category, stream.name, stream.mid, stream.arg
+        ):
+            if mid >= 0:
+                continue
+            if kind == COUNTER:
+                args = {"value": int(arg)}
+            elif kind == REAL_COUNTER:
+                args = {"value": arg}
+            else:
+                args = payloads[int(arg)] if arg >= 0 else None
+            records.append(
+                TraceRecord(
+                    time_ps, strings[category], strings[name], _KIND_NAMES[kind], args
+                )
+            )
+        return records
 
     def __len__(self) -> int:
-        return 0
-
-    def clear(self) -> None:
-        pass
-
-
-NULL_TRACER = NullTracer()
+        return self.stream.mid.count(-1)

@@ -54,9 +54,3 @@ class Processor(ClockedComponent):
         stall = self.memory.access(addr, size, write=write)
         self.stall_ps += stall
         return stall
-
-    def compute_and_touch(
-        self, cycles: int, addr: int, size: int = 8, *, write: bool = False
-    ) -> int:
-        """Common case: some ALU work plus one memory reference."""
-        return self.compute(cycles) + self.touch(addr, size, write=write)

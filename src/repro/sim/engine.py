@@ -45,9 +45,8 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
-from repro.obs.lifecycle import NULL_LIFECYCLE
 from repro.obs.metrics import NULL_REGISTRY
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.stream import NULL_SINK
 from repro.sim.event import EventHandle
 
 
@@ -62,15 +61,16 @@ class Engine:
     ----------
     tracer:
         A :class:`repro.obs.tracer.Tracer` collecting structured records
-        from instrumented components.  Defaults to the shared no-op
-        tracer (``engine.tracer.enabled`` is False).
+        from instrumented components.  Defaults to the shared disabled
+        sink :data:`repro.obs.stream.NULL_SINK` (``engine.tracer.enabled``
+        is False).
     metrics:
         A :class:`repro.obs.metrics.MetricsRegistry` components obtain
         instruments from.  Defaults to the shared no-op registry.
     lifecycle:
         A :class:`repro.obs.lifecycle.LifecycleRecorder` the MPI layer,
         NIC firmware and network mark per-message stage transitions
-        into.  Defaults to the shared no-op recorder
+        into.  Defaults to the same disabled sink
         (``engine.lifecycle.enabled`` is False).
     """
 
@@ -93,8 +93,8 @@ class Engine:
         self._live: int = 0
         self._stopped = False
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.lifecycle = lifecycle if lifecycle is not None else NULL_LIFECYCLE
+        self.tracer = tracer if tracer is not None else NULL_SINK
+        self.lifecycle = lifecycle if lifecycle is not None else NULL_SINK
         # a C-level clock read: no Python frame per trace record or mark
         clock = functools.partial(getattr, self, "_now")
         self.tracer.attach_clock(clock)
@@ -121,19 +121,12 @@ class Engine:
         linear in events even when the heap carries many
         lazy-cancellation tombstones.  (``tests/sim/test_engine.py``
         asserts the counter against an explicit walk of both queues.)
-        Use :attr:`raw_pending` for the queue sizes including tombstones.
         """
         return self._live
 
     def _note_cancelled(self) -> None:
         """An :class:`EventHandle` cancelled a live event (O(1) upkeep)."""
         self._live -= 1
-
-    @property
-    def raw_pending(self) -> int:
-        """Queued entries including cancelled tombstones (the
-        pre-telemetry meaning of ``pending``, kept as an escape hatch)."""
-        return len(self._heap) + len(self._slot)
 
     # ------------------------------------------------------------- scheduling
     def schedule(

@@ -30,11 +30,6 @@ class PingPongParams:
 class PingPongResult(Result):
     """Half-round-trip latencies, in nanoseconds."""
 
-    @property
-    def min_ns(self) -> float:
-        """Best-case half-round-trip latency."""
-        return min(self.latencies_ns)
-
 
 def run_pingpong(
     nic: NicConfig,

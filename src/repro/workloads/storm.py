@@ -126,11 +126,6 @@ class StormResult(Result):
     #: retransmissions across all NICs (0 without the reliability layer)
     retransmits: int
 
-    @property
-    def messages_per_us(self) -> float:
-        """Simulated service throughput of the master."""
-        return self.total_messages / (self.duration_ns / 1_000.0)
-
     def columns(self) -> Dict[str, object]:
         return {
             "max_depth": self.max_unexpected_depth,

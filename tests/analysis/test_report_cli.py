@@ -156,6 +156,12 @@ class TestSweepDump:
         summary = f"{rows[1].attribution['aggregate']['count']} messages, end-to-end"
         assert summary in text
 
+    def test_without_row_renders_row_zero(self, sweep_dump):
+        path, _ = sweep_dump
+        code, text, err = run_main("--input", path)
+        assert code == 0, err
+        assert (code, text, err) == run_main("--input", path, "--row", 0)
+
 
 class TestBadInput:
     def assert_one_line_error(self, code, out, err, *needles):

@@ -2,7 +2,8 @@
 
 import json
 
-from repro.obs.chrome import PID, chrome_trace_events, to_chrome, write_chrome_trace
+from repro.obs.chrome import LIFECYCLE_PID, PID, to_chrome, write_chrome_trace
+from repro.obs.lifecycle import LifecycleRecorder
 from repro.obs.tracer import Tracer
 
 
@@ -15,8 +16,12 @@ def build_tracer():
     t.end("alpu", "dev0.match", {"resolved": 1})
     t.end("alpu", "dev1.match")
     t.instant("network", "fabric.inject", {"bytes": 32})
-    t.counter("nic", "postedRecvQ.depth", {"value": 3})
+    t.counter("nic", "postedRecvQ.depth", 3)
     return t
+
+
+def chrome_trace_events(records):
+    return to_chrome(records)["traceEvents"]
 
 
 def test_document_envelope():
@@ -85,7 +90,20 @@ def test_points_share_category_track_with_metadata_name():
 
 def test_write_round_trips_through_json(tmp_path):
     path = tmp_path / "out.trace.json"
-    written = write_chrome_trace(path, build_tracer().records)
+    written = write_chrome_trace(path, to_chrome(build_tracer().records))
     loaded = json.loads(path.read_text())
     assert loaded == written
     assert loaded["traceEvents"]
+
+
+def test_lifecycle_tracks_follow_the_component_tracks():
+    recorder = LifecycleRecorder()
+    recorder.begin("send", 0, 1, 0)
+    recorder.mark_request(0, 1, "wire", 1_000_000)
+    events = to_chrome(build_tracer().records, recorder.lifecycles)["traceEvents"]
+    pids = [e["pid"] for e in events]
+    # every component event first, then the message's own process
+    assert pids == sorted(pids) and set(pids) == {PID, LIFECYCLE_PID}
+    assert [e["name"] for e in events if e["pid"] == LIFECYCLE_PID] == [
+        "thread_name", "api_post", "api_post", "wire"
+    ]

@@ -11,13 +11,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.obs import Telemetry
+from repro.obs.chrome import to_chrome
 from repro.obs.lifecycle import (
     LifecycleRecorder,
     MessageLifecycle,
-    NULL_LIFECYCLE,
     TERMINAL_STAGE,
-    lifecycle_chrome_events,
 )
+from repro.obs.stream import NULL_SINK
 from repro.workloads.preposted import PrepostedParams, run_preposted
 from repro.workloads.sweep import nic_preset
 from repro.workloads.unexpected import UnexpectedParams, run_unexpected
@@ -102,14 +102,14 @@ class TestRecorderUnit:
         assert recorder.pop_search_notes() == {}
 
     def test_null_recorder_is_inert(self):
-        assert not NULL_LIFECYCLE.enabled
-        NULL_LIFECYCLE.begin("send", 0, 1)
-        NULL_LIFECYCLE.mark_request(0, 1, "x")
-        NULL_LIFECYCLE.mark_uid(1, "x")
-        NULL_LIFECYCLE.complete_request(0, 1, recv=True)
-        assert len(NULL_LIFECYCLE) == 0
-        assert NULL_LIFECYCLE.lifecycles == ()
-        assert NULL_LIFECYCLE.chrome_events() == []
+        assert not NULL_SINK.enabled
+        NULL_SINK.begin("send", 0, 1)
+        NULL_SINK.mark_request(0, 1, "x")
+        NULL_SINK.mark_uid(1, "x")
+        NULL_SINK.complete_request(0, 1, recv=True)
+        assert len(NULL_SINK) == 0
+        assert NULL_SINK.lifecycles == ()
+        assert NULL_SINK.pop_search_notes() == {}
 
     def test_dump_round_trip(self):
         recorder = LifecycleRecorder()
@@ -129,7 +129,7 @@ class TestRecorderUnit:
         recorder.complete_request(0, 1, 3_000_000, recv=False)
         recorder.begin("recv", 1, 1, 0)
         recorder.complete_request(1, 1, 2_000_000, recv=True)
-        events = lifecycle_chrome_events(recorder.lifecycles)
+        events = to_chrome(lifecycles=recorder.lifecycles)["traceEvents"]
         names = [e["name"] for e in events if e["ph"] == "B"]
         assert "api_post" in names and "wire" in names
         begins = sum(1 for e in events if e["ph"] == "B")

@@ -14,16 +14,17 @@ import json
 
 import pytest
 
+from repro.analysis.report import load_report
 from repro.analysis.telemetry import (
-    load_report,
     mean_sampled_depth,
     metric_across_rows,
     metric_value,
 )
 from repro.obs import Telemetry
+from repro.obs.health import HealthFinding, verdict_of
 from repro.workloads.pingpong import PingPongParams, run_pingpong
 from repro.workloads.preposted import PrepostedParams, run_preposted
-from repro.workloads.sweep import SweepSpec, dump_telemetry, nic_preset, run_sweep
+from repro.workloads.sweep import Row, SweepSpec, dump_telemetry, nic_preset, run_sweep
 from repro.workloads.unexpected import UnexpectedParams, run_unexpected
 
 FAST = dict(iterations=4, warmup=1)
@@ -138,8 +139,47 @@ class TestSweepIntegration:
     def test_load_report_rejects_non_reports(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text(json.dumps({"nope": 1}))
-        with pytest.raises(ValueError, match="telemetry report"):
+        with pytest.raises(ValueError, match="sweep telemetry dump"):
             load_report(str(path))
+
+
+    def test_health_helpers_split_a_loaded_dump(self, tmp_path):
+        # README's recipe: load a dump_telemetry file, split it by health
+        from repro.analysis import healthy_rows, load_report, rows_with_finding
+
+        storm = HealthFinding(
+            code="retransmit_storm",
+            severity="critical",
+            series="nic0.rel/retransmits",
+            start_ps=0,
+            end_ps=4_000_000,
+            value=12.0,
+            threshold=8.0,
+            message="12 retransmits in one window",
+        )
+
+        def row(loss, findings):
+            return Row(
+                benchmark="preposted",
+                preset="baseline",
+                params={"loss": loss},
+                latency_ns=1000.0,
+                columns={},
+                metrics={},
+                health={
+                    "verdict": verdict_of(findings),
+                    "findings": [f.to_obj() for f in findings],
+                },
+            )
+
+        path = tmp_path / "loss_sweep.json"
+        dump_telemetry([row(0.0, []), row(0.1, [storm])], str(path))
+        rows = load_report(str(path))["rows"]
+        assert [r["params"] for r in healthy_rows(rows)] == [{"loss": 0.0}]
+        assert [r["params"] for r in rows_with_finding(rows, "retransmit_storm")] == [
+            {"loss": 0.1}
+        ]
+        assert rows_with_finding(rows, "unexpected_admission_pressure") == []
 
 
 class TestChromeExportEndToEnd:

@@ -1,12 +1,12 @@
 """Tracer record semantics: spans, instants, counters."""
 
+from repro.obs.lifecycle import LifecycleRecorder
+from repro.obs.stream import NULL_SINK, EventStream
 from repro.obs.tracer import (
     KIND_BEGIN,
     KIND_COUNTER,
     KIND_END,
     KIND_INSTANT,
-    NULL_TRACER,
-    NullTracer,
     TraceRecord,
     Tracer,
 )
@@ -69,29 +69,34 @@ def test_nested_spans_preserve_emission_order():
 
 def test_counter_records_values_dict():
     t = Tracer()
-    t.counter("nic", "depth", {"value": 7})
-    (rec,) = t.records
-    assert rec.kind == KIND_COUNTER
-    assert rec.args == {"value": 7}
-
-
-def test_clear_drops_records():
-    t = Tracer()
-    t.instant("nic", "a")
-    t.clear()
-    assert t.records == []
-    t.instant("nic", "b")
-    assert len(t.records) == 1
+    t.counter("nic", "depth", 7)
+    t.counter("network", "link.utilization", 0.25)
+    depth, util = t.records
+    assert depth.kind == util.kind == KIND_COUNTER
+    # the sample's type survives the stream's numeric column
+    assert depth.args == {"value": 7} and type(depth.args["value"]) is int
+    assert util.args == {"value": 0.25}
 
 
 def test_null_tracer_is_inert():
-    assert not NULL_TRACER.enabled
-    NULL_TRACER.begin("x", "y")
-    NULL_TRACER.end("x", "y")
-    NULL_TRACER.instant("x", "y", {"a": 1})
-    NULL_TRACER.counter("x", "y", {"v": 2})
-    with NULL_TRACER.span("x", "y"):
+    assert not NULL_SINK.enabled
+    NULL_SINK.begin("x", "y")
+    NULL_SINK.end("x", "y")
+    NULL_SINK.instant("x", "y", {"a": 1})
+    NULL_SINK.counter("x", "y", 2)
+    with NULL_SINK.span("x", "y"):
         pass
-    assert NULL_TRACER.records == ()
-    assert len(NULL_TRACER) == 0
-    assert isinstance(NULL_TRACER, NullTracer)
+    assert NULL_SINK.records == ()
+    assert len(NULL_SINK) == 0
+
+
+def test_shared_stream_keeps_component_records_apart():
+    stream = EventStream()
+    t = Tracer(stream)
+    recorder = LifecycleRecorder(stream)
+    recorder.begin("send", 0, 1, 5)
+    t.instant("nic", "a", {"k": 1})
+    recorder.mark_request(0, 1, "wire", 9)
+    assert t.records == [TraceRecord(0, "nic", "a", KIND_INSTANT, {"k": 1})]
+    assert [m.stage for m in recorder.lifecycles[0].marks] == ["api_post", "wire"]
+    assert len(t) == 1 and len(stream) == 3
