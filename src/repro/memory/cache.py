@@ -5,6 +5,8 @@ miss, updates LRU state, and reports any dirty eviction so the memory
 system can charge a write-back.  Latency is *not* decided here -- the
 :class:`~repro.memory.system.MemorySystem` turns hit/miss outcomes into
 cycle counts, keeping policy (timing) separate from mechanism (state).
+Its line walk applies :meth:`Cache.access`'s rules to the L1 sets in
+place; this class stays the component model the walk is tested against.
 """
 
 from __future__ import annotations
@@ -51,8 +53,6 @@ class AccessResult:
     hit: bool
     #: line address written back to the next level (dirty eviction), if any
     writeback_line: Optional[int] = None
-    #: line address fetched from the next level on a miss, if any
-    fill_line: Optional[int] = None
 
 
 #: shared result for the (overwhelmingly common) hit case -- callers treat
@@ -121,49 +121,12 @@ class Cache:
                 self.writebacks += 1
                 writeback = victim_tag * num_sets + index
         cache_set[tag] = write
-        return AccessResult(hit=False, writeback_line=writeback, fill_line=line)
-
-    def fill(self, line: int, *, write: bool = False) -> Optional[int]:
-        """Handle a known miss of ``line`` (its tag verified absent).
-
-        The caller has already probed the set and popped nothing; this is
-        the miss half of :meth:`access` split out so the memory system
-        can inline the hit probe.  Returns the written-back line address
-        on a dirty eviction, else ``None``.
-        """
-        num_sets = self._num_sets
-        cache_set = self._sets[line % num_sets]
-        self.misses += 1
-        writeback = None
-        if len(cache_set) >= self._ways:
-            victim_tag = next(iter(cache_set))
-            if cache_set.pop(victim_tag):
-                self.writebacks += 1
-                writeback = victim_tag * num_sets + line % num_sets
-        cache_set[line // num_sets] = write
-        return writeback
-
-    def touch_range(self, addr: int, size: int, *, write: bool = False) -> List[AccessResult]:
-        """Access every line overlapped by ``[addr, addr+size)``."""
-        if size <= 0:
-            return []
-        first = self.line_addr(addr)
-        last = self.line_addr(addr + size - 1)
-        lb = self.config.line_bytes
-        return [
-            self.access(line * lb, write=write) for line in range(first, last + 1)
-        ]
+        return AccessResult(hit=False, writeback_line=writeback)
 
     def contains(self, addr: int) -> bool:
         """Non-mutating presence check (does not update LRU)."""
         line = self.line_addr(addr)
         return self._tag(line) in self._sets[self._set_index(line)]
-
-    def invalidate_all(self) -> int:
-        """Flush without write-back; returns the number of lines dropped."""
-        dropped = sum(len(s) for s in self._sets)
-        self._sets = [{} for _ in range(self._num_sets)]
-        return dropped
 
     # ------------------------------------------------------------ statistics
     @property

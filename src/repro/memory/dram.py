@@ -90,6 +90,3 @@ class Dram:
         self.page_misses = 0
         self.page_conflicts = 0
 
-    def close_all_rows(self) -> None:
-        """Precharge-all (e.g. refresh); subsequent accesses pay activate."""
-        self._open_rows.clear()

@@ -5,9 +5,20 @@ access returns the picoseconds of stall *beyond* the pipelined L1-hit path
 (an L1 hit costs 0 extra; the per-instruction cost model already covers
 it).  Misses walk the hierarchy: optional L2, then the DRAM path with a
 fixed controller/bus overhead plus the DRAM's row-state-dependent latency.
-Dirty evictions charge a DRAM write-back access, which also perturbs the
-open-row state -- this is the "contention for open rows" effect the paper
-models.
+A dirty victim is written back to the next level: into L2 when there is
+one, else to DRAM as a posted write charged at half the DRAM access.  A
+dirty L2 victim goes to DRAM the same way.  DRAM write-backs also perturb
+the open-row state -- this is the "contention for open rows" effect the
+paper models.
+
+Every access, single or batched, runs through one line walk
+(:meth:`MemorySystem.access_each`).  It applies the same state rules as
+the component models :meth:`Cache.access <repro.memory.cache.Cache.access>`
+and :meth:`Dram.access <repro.memory.dram.Dram.access>`, with the L1 sets,
+the open-row table and the latencies held in locals.  A queue traversal
+charges all its entries in one call: nothing runs between its touches,
+so the cache, the open rows, every counter and the summed stall are what
+per-entry calls would give.
 
 Default calibrations (see :mod:`repro.proc.params`) land the full
 load-to-use path in Table III's bands: 30-32 cycles at 500 MHz for the NIC
@@ -17,7 +28,7 @@ load-to-use path in Table III's bands: 30-32 cycles at 500 MHz for the NIC
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.memory.cache import _ABSENT, Cache, CacheConfig
 from repro.memory.dram import Dram, DramConfig
@@ -50,7 +61,25 @@ class MemorySystem:
         self.l2 = Cache(config.l2) if config.l2 is not None else None
         self.dram = Dram(config.dram)
         self.total_stall_ps = 0
-        self._line_bytes = config.l1.line_bytes
+        timing = config.dram
+        miss_base = config.miss_base_ps
+        # the walk's loop invariants, unpacked in one step per call; the
+        # set list and the open-row table are never rebound
+        self._walk_locals = (
+            self.l1._sets,
+            self.l1._num_sets,
+            self.l1._ways,
+            config.l1.line_bytes,
+            self.l2,
+            config.l2.line_bytes if config.l2 is not None else 0,
+            config.l2_hit_ps,
+            self.dram._open_rows,
+            timing.row_bytes,
+            timing.num_banks,
+            miss_base + timing.cas_ps,
+            miss_base + timing.ras_ps + timing.cas_ps,
+            miss_base + timing.precharge_ps + timing.ras_ps + timing.cas_ps,
+        )
 
     # -------------------------------------------------------------- accesses
     def access(self, addr: int, size: int = 8, *, write: bool = False) -> int:
@@ -61,87 +90,86 @@ class MemorySystem:
         core is in-order with a single memory port, and list traversal is a
         dependent pointer chase anyway).
         """
+        return self.access_each((addr,), size, write=write)
+
+    def access_each(
+        self, addrs: Iterable[int], size: int, *, write: bool = False
+    ) -> int:
+        """Access ``[a, a+size)`` for each ``a`` in order; returns the summed stall.
+
+        Identical in state and total to one :meth:`access` per address.
+        """
         if size <= 0:
             raise ValueError(f"access size must be positive: {size}")
-        line = self._line_bytes
-        first = addr // line
-        last = (addr + size - 1) // line
-        if first == last:
-            # Single-line access is the overwhelming case; the L1 probe
-            # is inlined (same state updates as Cache.access) so a hit --
-            # which stalls 0 ps -- costs one dict pop, not three calls.
-            l1 = self.l1
-            num_sets = l1._num_sets
-            cache_set = l1._sets[first % num_sets]
-            tag = first // num_sets
-            dirty = cache_set.pop(tag, _ABSENT)
-            if dirty is not _ABSENT:
-                cache_set[tag] = dirty or write
-                l1.hits += 1
-                return 0
-            stall = self._miss_line(first, write=write)
-        else:
-            stall = 0
-            for line_index in range(first, last + 1):
-                stall += self._access_line(line_index * line, write=write)
+        (
+            sets, num_sets, ways, line_bytes, l2, l2_line_bytes, l2_hit_ps,
+            open_rows, row_bytes, banks, page_hit_ps, activate_ps, conflict_ps,
+        ) = self._walk_locals
+        dram = self.dram
+        span = size - 1
+        stall = hits = misses = writebacks = 0
+        page_hits = page_misses = page_conflicts = 0
+        for addr in addrs:
+            # the line advances first, so each outcome below can `continue`
+            line = addr // line_bytes - 1
+            last = (addr + span) // line_bytes
+            while line < last:
+                line += 1
+                index = line % num_sets
+                tag = line // num_sets
+                cache_set = sets[index]
+                dirty = cache_set.pop(tag, _ABSENT)
+                if dirty is not _ABSENT:
+                    # L1 hit: re-insert at the MRU end, no stall
+                    cache_set[tag] = dirty or write
+                    hits += 1
+                    continue
+                misses += 1
+                if len(cache_set) >= ways:
+                    victim = next(iter(cache_set))
+                    if cache_set.pop(victim):
+                        writebacks += 1
+                        victim_addr = (victim * num_sets + index) * line_bytes
+                        if l2 is None:
+                            stall += dram.access(victim_addr) // 2
+                        else:
+                            spill = l2.access(victim_addr, write=True).writeback_line
+                            if spill is not None:
+                                stall += dram.access(spill * l2_line_bytes) // 2
+                cache_set[tag] = write
+                if l2 is not None:
+                    probe = l2.access(line * line_bytes)
+                    if probe.hit:
+                        stall += l2_hit_ps
+                        continue
+                    if probe.writeback_line is not None:
+                        stall += dram.access(probe.writeback_line * l2_line_bytes) // 2
+                # the DRAM fill (Dram.access, inlined)
+                row = line * line_bytes // row_bytes
+                bank = row % banks
+                open_row = open_rows.get(bank)
+                if open_row == row:
+                    page_hits += 1
+                    stall += page_hit_ps
+                    continue
+                if open_row is None:
+                    page_misses += 1
+                    stall += activate_ps
+                else:
+                    page_conflicts += 1
+                    stall += conflict_ps
+                open_rows[bank] = row
+        l1 = self.l1
+        l1.hits += hits
+        l1.misses += misses
+        l1.writebacks += writebacks
+        dram.page_hits += page_hits
+        dram.page_misses += page_misses
+        dram.page_conflicts += page_conflicts
         self.total_stall_ps += stall
         return stall
 
-    def _access_line(self, line_addr: int, *, write: bool) -> int:
-        l1_result = self.l1.access(line_addr, write=write)
-        if l1_result.hit:
-            return 0
-        stall = 0
-        if l1_result.writeback_line is not None:
-            stall += self._writeback(l1_result.writeback_line)
-        return stall + self._lower_levels(line_addr)
-
-    def _miss_line(self, line: int, *, write: bool) -> int:
-        """Known L1 miss of line index ``line`` (probe already failed)."""
-        writeback = self.l1.fill(line, write=write)
-        stall = 0
-        if writeback is not None:
-            stall += self._writeback(writeback)
-        return stall + self._lower_levels(line * self._line_bytes)
-
-    def _lower_levels(self, line_addr: int) -> int:
-        """Stall below L1: L2 (if present), then the DRAM path."""
-        stall = 0
-        if self.l2 is not None:
-            l2_result = self.l2.access(line_addr, write=False)
-            if l2_result.hit:
-                return self.config.l2_hit_ps
-            if l2_result.writeback_line is not None:
-                stall += self._writeback(l2_result.writeback_line)
-        return stall + self.config.miss_base_ps + self.dram.access(line_addr)
-
-    def _writeback(self, victim_line: int) -> int:
-        """Write a dirty victim to the next level.
-
-        With an L2 the write-back is absorbed there (cheap, charged as an
-        L2 hit); without one it goes to DRAM and disturbs the open row.
-        The write-back itself is buffered, so we charge only the DRAM
-        row-state perturbation path at half cost (posted write).
-        """
-        line_bytes = self.l1.config.line_bytes
-        addr = victim_line * line_bytes
-        if self.l2 is not None:
-            self.l2.access(addr, write=True)
-            return 0
-        return self.dram.access(addr) // 2
-
     # ------------------------------------------------------------ utilities
-    def warm(self, addr: int, size: int) -> None:
-        """Pre-load a range into the caches without charging time."""
-        line = self.l1.config.line_bytes
-        first = addr // line
-        last = (addr + size - 1) // line
-        for line_index in range(first, last + 1):
-            line_addr = line_index * line
-            if self.l2 is not None:
-                self.l2.access(line_addr)
-            self.l1.access(line_addr)
-
     def reset_stats(self) -> None:
         """Zero every level's counters (contents untouched)."""
         self.l1.reset_stats()

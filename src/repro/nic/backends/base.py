@@ -159,24 +159,27 @@ class MatchBackend(abc.ABC):
         if tracing:
             tracer.begin("nic", f"{self.nic.name}.search.{queue.name}")
         entries = queue.search_candidates(request, suffix_only=suffix_only)
-        cost = 0
         found: Optional[QueueEntry] = None
-        visited = 0
-        proc = self.proc
-        touch = proc.touch
+        visited_addrs = []
+        visit = visited_addrs.append
         req_bits = request.bits
         req_mask = request.mask
         for entry in entries:
-            # per-visit charge: one cache line; the compare is the ternary
-            # rule of repro.core.match.matches with both masks honoured
-            cost += touch(entry.addr, ENTRY_TOUCH_BYTES)
-            visited += 1
+            # the compare is the ternary rule of repro.core.match.matches
+            # with both masks honoured; it reads no memory-model state
+            visit(entry.addr)
             if not (entry.bits ^ req_bits) & ~(entry.mask | req_mask):
                 found = entry
                 break
-        # compare cycles are linear in visits (cycles() is exact integer
-        # ps-per-cycle), so one compute() call charges the identical total
-        cost += proc.compute(visited * self.cost.entry_compare_cycles)
+        visited = len(visited_addrs)
+        # per-visit charge: one cache line each, charged in visit order in
+        # one walk (nothing runs between the touches, so the stall and the
+        # cache state are those of per-entry touches); compare cycles are
+        # linear in visits (cycles() is exact integer ps-per-cycle)
+        proc = self.proc
+        cost = proc.touch_each(visited_addrs, ENTRY_TOUCH_BYTES) + proc.compute(
+            visited * self.cost.entry_compare_cycles
+        )
         self.fw.record_traversal(visited)
         if cost:
             yield delay(cost)

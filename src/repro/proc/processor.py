@@ -10,7 +10,7 @@ processes with ``yield delay(...)``.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.memory.system import MemorySystem
 from repro.sim.component import ClockedComponent
@@ -52,5 +52,17 @@ class Processor(ClockedComponent):
         if self.memory is None:
             return 0
         stall = self.memory.access(addr, size, write=write)
+        self.stall_ps += stall
+        return stall
+
+    def touch_each(self, addrs: Iterable[int], size: int) -> int:
+        """Charge a read of ``size`` bytes at each address, in order.
+
+        The batched :meth:`touch`: one call for a whole queue traversal,
+        with the same stall and memory state as one touch per address.
+        """
+        if self.memory is None:
+            return 0
+        stall = self.memory.access_each(addrs, size)
         self.stall_ps += stall
         return stall

@@ -300,13 +300,18 @@ def resolve_nic(spec: SweepSpec, nic: NicConfig) -> NicConfig:
 
 @functools.lru_cache(maxsize=None)
 def source_fingerprint() -> str:
-    """sha256 over every ``repro`` source file, path and contents."""
-    root = pathlib.Path(__file__).resolve().parents[1]
+    """sha256 over every ``repro/**/*.py``: path relative to ``src``, then bytes.
+
+    The same digest perfbench records as ``source_sha256`` in its
+    manifest, so a sweep row and a benchmark record name a tree alike.
+    """
+    src = pathlib.Path(__file__).resolve().parents[2]
     digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
-        digest.update(path.relative_to(root).as_posix().encode("utf-8"))
+    for path in sorted((src / "repro").rglob("*.py")):
+        digest.update(path.relative_to(src).as_posix().encode())
         digest.update(b"\0")
         digest.update(path.read_bytes())
+        digest.update(b"\0")
     return digest.hexdigest()
 
 

@@ -66,15 +66,6 @@ def test_write_hit_marks_dirty_for_later_eviction():
     assert result.writeback_line == 0
 
 
-def test_touch_range_covers_all_lines():
-    cache = small_cache(ways=8, sets=8)
-    results = cache.touch_range(0, 64 * 3)
-    assert len(results) == 3
-    assert cache.touch_range(10, 1)[0].hit  # inside the first line
-    assert len(cache.touch_range(60, 10)) == 2  # straddles a boundary
-    assert cache.touch_range(0, 0) == []
-
-
 def test_contains_does_not_disturb_lru():
     cache = small_cache(ways=2, sets=1)
     cache.access(0)
@@ -83,15 +74,6 @@ def test_contains_does_not_disturb_lru():
     cache.access(128)  # evicts true LRU: line 0
     assert not cache.contains(0)
     assert cache.contains(64)
-
-
-def test_invalidate_all():
-    cache = small_cache()
-    cache.access(0)
-    cache.access(64)
-    assert cache.invalidate_all() == 2
-    assert cache.occupancy == 0
-    assert not cache.contains(0)
 
 
 def test_hit_rate_and_reset():

@@ -46,13 +46,6 @@ def test_interleaved_conflicting_streams_degrade():
     assert dram.page_hits == 0
 
 
-def test_close_all_rows_forces_reactivation():
-    dram = Dram()
-    dram.access(0)
-    dram.close_all_rows()
-    assert dram.access(0) == dram.config.ras_ps + dram.config.cas_ps
-
-
 def test_stats_reset():
     dram = Dram()
     dram.access(0)

@@ -1,7 +1,11 @@
 """Tests for the pluggable match-backend layer (registry + protocol)."""
 
+import random
+
 import pytest
 
+from repro.core.match import MatchRequest
+from repro.mpi.world import MpiWorld, WorldConfig
 from repro.nic.backends import (
     AlpuMatchBackend,
     HashTableBackend,
@@ -14,6 +18,7 @@ from repro.nic.backends import (
 )
 from repro.nic.firmware import FirmwareConfig
 from repro.nic.nic import NicConfig
+from repro.nic.queues import ENTRY_BYTES, ENTRY_TOUCH_BYTES, EntryKind
 from repro.workloads.pingpong import PingPongParams, run_pingpong
 
 
@@ -52,8 +57,6 @@ def test_firmware_config_backcompat():
 
 
 def test_needs_alpu_drives_nic_assembly():
-    from repro.mpi.world import MpiWorld, WorldConfig
-
     software = MpiWorld(WorldConfig(num_ranks=2, nic=NicConfig.baseline()))
     assert software.nics[0].alpu_devices == ()
     assert software.nics[0].posted_driver is None
@@ -109,3 +112,79 @@ def test_custom_backend_matches_list_timing():
         assert toy.latencies_ns == baseline.latencies_ns
     finally:
         unregister_backend("toy")
+
+
+#: the search tests' queue depth: 64 KB of entries, twice the NIC's L1
+SEARCH_DEPTH = 512
+
+
+def _deep_unexpected_queue():
+    """A baseline NIC whose unexpected queue holds ``SEARCH_DEPTH`` entries.
+
+    Each entry is written when enqueued, as the firmware does, so the
+    walk evicts dirty lines and pays posted write-backs.
+    """
+    world = MpiWorld(WorldConfig(num_ranks=2, nic=NicConfig.baseline()))
+    firmware = world.nics[0].firmware
+    queue = firmware.unexpected_q
+    for bits in range(SEARCH_DEPTH):
+        entry = queue.allocate_entry(EntryKind.UNEXPECTED_EAGER, bits=bits, mask=0, size=0)
+        firmware.proc.touch(entry.addr, ENTRY_BYTES, write=True)
+        queue.append(entry)
+    return firmware, queue
+
+
+def _memory_state(proc):
+    memory = proc.memory
+    return (
+        proc.stall_ps,
+        proc.busy_ps,
+        memory.total_stall_ps,
+        memory.l1.hits,
+        memory.l1.misses,
+        memory.l1.writebacks,
+        memory.dram.page_hits,
+        memory.dram.page_misses,
+        memory.dram.page_conflicts,
+        [list(cache_set.items()) for cache_set in memory.l1._sets],
+        dict(memory.dram._open_rows),
+    )
+
+
+@pytest.mark.parametrize(
+    "target",
+    [random.Random(seed).randrange(SEARCH_DEPTH) for seed in range(3)] + [None],
+    ids=lambda target: "miss" if target is None else f"hit@{target}",
+)
+def test_software_search_charges_like_per_entry_touches(target):
+    """One batched walk costs what one touch per visited entry costs."""
+    bits = SEARCH_DEPTH + 1 if target is None else target
+    firmware, queue = _deep_unexpected_queue()
+    search = firmware.backend.software_search(queue, MatchRequest(bits))
+    delays = []
+    with pytest.raises(StopIteration) as stop:
+        while True:
+            delays.append(next(search))
+    found = stop.value.value
+
+    # the reference: the same walk, one touch per visited entry
+    ref_fw, ref_queue = _deep_unexpected_queue()
+    proc = ref_fw.proc
+    visited = list(ref_queue.search_candidates(MatchRequest(bits)))
+    if target is not None:
+        visited = visited[: target + 1]
+    expected = [
+        sum(proc.touch(entry.addr, ENTRY_TOUCH_BYTES) for entry in visited)
+        + proc.compute(len(visited) * ref_fw.cost.entry_compare_cycles)
+    ]
+    if target is not None:
+        assert found.bits == target
+        expected.append(
+            proc.compute(ref_fw.cost.dequeue_cycles)
+            + proc.touch(visited[-1].addr + 64, 64, write=True)
+        )
+    else:
+        assert found is None
+    assert delays == expected
+    assert firmware.entries_traversed == len(visited)
+    assert _memory_state(firmware.proc) == _memory_state(proc)

@@ -2,7 +2,9 @@
 the presets, the provenance-keyed cache and the telemetry dump."""
 
 import dataclasses
+import importlib.util
 import json
+import pathlib
 
 import pytest
 
@@ -220,3 +222,14 @@ def test_source_fingerprint_keys_the_cache(monkeypatch):
     assert len(sweep.source_fingerprint()) == 64
     monkeypatch.setattr(sweep, "source_fingerprint", lambda: "0" * 64)
     assert SweepCache.key(spec, preset, params) != base
+
+
+def test_source_fingerprint_is_perfbench_source_digest():
+    """Sweep rows and perfbench records name a source tree by one digest."""
+    root = pathlib.Path(__file__).resolve().parents[2]
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_provenance", root / "perfbench" / "provenance.py"
+    )
+    provenance = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(provenance)
+    assert sweep.source_fingerprint() == provenance.source_sha256(root / "src")
